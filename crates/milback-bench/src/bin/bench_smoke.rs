@@ -517,11 +517,14 @@ fn bench_batch_kernels() -> BatchBench {
     }
 }
 
-/// The sharded-campaign bench: single-cell vs 4-cell sharded nodes/s on
-/// the same sector campaign, plus the acceptance proofs — a 1-cell sharded
+/// The sharded-campaign bench: single-cell and 4-cell sharded nodes/s on
+/// the same sector scene, plus the acceptance proofs — a 1-cell sharded
 /// run reproduces `run_mac` bit-for-bit, the sharded aggregate is
 /// invariant across 1/2/4/8 worker threads, and the streaming aggregate's
-/// report footprint does not grow with node count.
+/// report footprint does not grow with node count. The two rates are not
+/// a speedup: one 64-node cell where almost every attempt collides is a
+/// different workload from four 16-node cells that deliver more, so their
+/// ratio measures the collision ratio, not the cost of sharding.
 struct ShardBench {
     nodes: usize,
     cells: usize,
@@ -534,7 +537,7 @@ struct ShardBench {
 }
 
 fn bench_sharded_campaign() -> ShardBench {
-    use milback_core::{CampaignAggregate, MacPolicy, SlottedAloha};
+    use milback_core::{ApServiceConfig, CampaignAggregate, MacPolicy, RelayConfig, SlottedAloha};
 
     let _span = spans::span("sharded_campaign");
     let nodes = 64;
@@ -544,6 +547,7 @@ fn bench_sharded_campaign() -> ShardBench {
     let seed = 0x5AD5u64;
     let c = experiments::sector_campaign(nodes, 16, slots, seed).expect("sector campaign");
     let factory = |_: usize, s: u64| Box::new(SlottedAloha::new(s)) as Box<dyn MacPolicy>;
+    let (instant, no_relay) = (ApServiceConfig::instantaneous(), RelayConfig::disabled());
 
     // Proof 1: one cell, many worker threads — the sharded path must
     // reproduce today's `run_mac` report bit-for-bit (`==` and `to_bits`).
@@ -572,8 +576,9 @@ fn bench_sharded_campaign() -> ShardBench {
     // Proof 2: the sharded aggregate is invariant across thread counts.
     let run_agg = |n_cells: usize, threads: usize| {
         c.net
-            .run_sharded_mac(
-                n_cells, threads, seed, frames, &c.payload, &c.plan, 20.0, factory,
+            .run_sharded_mac_relay(
+                n_cells, threads, seed, frames, &c.payload, &c.plan, 20.0, &instant, &no_relay,
+                factory,
             )
             .expect("sharded campaign")
     };
@@ -591,7 +596,7 @@ fn bench_sharded_campaign() -> ShardBench {
     let half = experiments::sector_campaign(nodes / 2, 16, slots, seed).expect("half campaign");
     let half_agg = half
         .net
-        .run_sharded_mac(
+        .run_sharded_mac_relay(
             cells,
             2,
             seed,
@@ -599,6 +604,8 @@ fn bench_sharded_campaign() -> ShardBench {
             &half.payload,
             &half.plan,
             20.0,
+            &instant,
+            &no_relay,
             factory,
         )
         .expect("half-scale campaign");
@@ -607,7 +614,7 @@ fn bench_sharded_campaign() -> ShardBench {
         && bucket_footprint == CampaignAggregate::new().bucket_footprint();
     assert!(bounded_memory, "aggregate footprint grew with node count");
 
-    // Throughput: single-cell vs sharded, round-robin min over rounds.
+    // Throughput of each shape, round-robin min over rounds.
     let threads = RunnerConfig::from_env().threads;
     let mut single = || {
         std::hint::black_box(run_agg(1, threads));
@@ -628,10 +635,9 @@ fn bench_sharded_campaign() -> ShardBench {
     };
     println!(
         "sharded campaign ({nodes} nodes): single-cell {:.0} nodes/s, {cells}-cell sharded {:.0} nodes/s \
-         on {threads} thread(s) ({:.2}x); bit-exact {shard_bit_exact}, footprint {} buckets (bounded {bounded_memory})",
+         on {threads} thread(s); bit-exact {shard_bit_exact}, footprint {} buckets (bounded {bounded_memory})",
         bench.single_cell_nodes_per_sec,
         bench.sharded_nodes_per_sec,
-        bench.sharded_nodes_per_sec / bench.single_cell_nodes_per_sec,
         bench.bucket_footprint,
     );
     bench
@@ -888,19 +894,18 @@ fn main() {
         batch.fmcw_sequential_ns / batch.fmcw_batched_ns,
         batch.bit_exact,
     );
-    // The sharded city-scale campaign path: single-cell vs sharded
-    // throughput on the same campaign, with the 1-cell `run_mac` parity,
-    // 1/2/4/8-thread invariance, and bounded-footprint proofs recorded as
-    // acceptance keys.
+    // The sharded city-scale campaign path: single-cell and sharded
+    // throughput (two different workloads, so no ratio is reported), with
+    // the 1-cell `run_mac` parity, 1/2/4/8-thread invariance, and
+    // bounded-footprint proofs recorded as acceptance keys.
     let _ = writeln!(
         j,
-        "  \"sharded_campaign\": {{ \"nodes\": {}, \"cells\": {}, \"threads\": {}, \"single_cell_nodes_per_sec\": {}, \"sharded_nodes_per_sec\": {}, \"shard_speedup\": {:.2}, \"shard_bit_exact\": {}, \"bucket_footprint\": {}, \"bounded_memory\": {} }},",
+        "  \"sharded_campaign\": {{ \"nodes\": {}, \"cells\": {}, \"threads\": {}, \"single_cell_nodes_per_sec\": {}, \"sharded_nodes_per_sec\": {}, \"shard_bit_exact\": {}, \"bucket_footprint\": {}, \"bounded_memory\": {} }},",
         shard.nodes,
         shard.cells,
         shard.threads,
         json_f(shard.single_cell_nodes_per_sec),
         json_f(shard.sharded_nodes_per_sec),
-        shard.sharded_nodes_per_sec / shard.single_cell_nodes_per_sec,
         shard.shard_bit_exact,
         shard.bucket_footprint,
         shard.bounded_memory,

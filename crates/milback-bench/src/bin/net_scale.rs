@@ -1,10 +1,11 @@
 //! Network-scaling extension: slotted-ALOHA + SDM campaigns on the
 //! discrete-event engine, sweeping the cell from 1 to 64 nodes.
 //!
-//! Each node count runs [`milback_core::Network::run_slotted`] — every node
-//! duty-cycles into its hashed slot once per frame, the AP arbitrates
-//! co-slotted transmissions by SDM separability — and reports per-node
-//! goodput, slot collisions, and energy per delivered packet. The sweep
+//! Each node count runs [`milback_core::Network::run_mac`] under
+//! [`milback_core::SlottedAloha`] — every node duty-cycles into its hashed
+//! slot once per frame, the AP arbitrates co-slotted transmissions by SDM
+//! separability — and reports per-node goodput, slot collisions, and
+//! energy per delivered packet. The sweep
 //! runs through the trial-parallel runner (one deterministic RNG stream per
 //! node count), so the CSV is bit-identical at any thread count.
 //!

@@ -543,10 +543,11 @@ pub fn sector_campaign(
     })
 }
 
-/// Network-scaling extension core: a slotted-ALOHA campaign (on the
-/// discrete-event engine's [`Network::run_slotted`]) for each node count,
-/// with the nodes spread over a ±60° sector at 4 m so growing density both
-/// fills slots *and* erodes SDM separability. Each node count is one
+/// Network-scaling extension core: a slotted-ALOHA campaign
+/// ([`Network::run_mac`] under [`SlottedAloha`], on the discrete-event
+/// engine) for each node count, with the nodes spread over a ±60° sector
+/// at 4 m so growing density both fills slots *and* erodes SDM
+/// separability. Each node count is one
 /// independent trial with its own deterministic RNG stream, so the sweep
 /// is bit-identical at any thread count.
 pub fn extension_net_scale(
@@ -562,7 +563,14 @@ pub fn extension_net_scale(
         let c = sector_campaign(n, payload_bytes, slots, root_seed)?;
         let r = c
             .net
-            .run_slotted(frames, &c.payload, &c.plan, c.slot_seed, 20.0, rng)
+            .run_mac(
+                Box::new(SlottedAloha::new(c.slot_seed)),
+                frames,
+                &c.payload,
+                &c.plan,
+                20.0,
+                rng,
+            )
             .map_err(|e| e.to_string())?;
         let goodput = (0..n).map(|idx| r.goodput_bps(idx)).sum::<f64>() / n as f64;
         let collisions: usize = r.nodes.iter().map(|nd| nd.collisions).sum();
@@ -736,7 +744,16 @@ pub fn extension_mac_compare_instrumented(
             };
             let r = c
                 .net
-                .run_mac_probed(policy, frames, &c.payload, &c.plan, 20.0, rng, &mut probe)
+                .run_mac_service_probed(
+                    policy,
+                    frames,
+                    &c.payload,
+                    &c.plan,
+                    20.0,
+                    rng,
+                    &ApServiceConfig::instantaneous(),
+                    &mut probe,
+                )
                 .map_err(|e| e.to_string())?;
             let metrics = probe.take_metrics().unwrap_or_default();
             let trace = probe.trace.take().map(|sink| sink.into_buffer());
@@ -837,7 +854,7 @@ pub struct NetScaleCityPoint {
 
 /// City-scale network sweep core: each node count shards the sector scene
 /// into `⌈nodes / cell_size⌉` spatial cells and runs one slotted-ALOHA
-/// campaign per cell via [`Network::run_sharded_mac`] — parallel across
+/// campaign per cell via [`Network::run_sharded_mac_relay`] — parallel across
 /// cells, streaming straight into a [`milback_core::CampaignAggregate`], so
 /// peak report
 /// memory is O(cells + buckets) and a 10⁵–10⁶-node campaign fits where the
@@ -1178,13 +1195,14 @@ pub fn extension_net_relay(
             let relay = relay_sweep_config(max_hops);
             let slot_seed = root_seed.wrapping_add(nodes as u64);
             let r = net
-                .run_mac_relay(
+                .run_mac_relay_service(
                     Box::new(RelayAwareMac::new(slot_seed, relay)),
                     frames,
                     &payload,
                     &plan,
                     20.0,
                     rng,
+                    &ApServiceConfig::instantaneous(),
                     &relay,
                 )
                 .map_err(|e| e.to_string())?;

@@ -12,34 +12,44 @@
 //! all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use milback_node::firmware::{Direction, Event, Firmware, State};
 use milback_node::power::NodePowerModel;
 use milback_node::{PortMode, ToggleSchedule};
 
-/// System allocator with an allocation counter. Deallocations and
-/// reallocations are counted too — the hot path must not touch the heap
-/// in any way.
+/// System allocator with a per-thread allocation counter. Deallocations
+/// and reallocations are counted too — the hot path must not touch the
+/// heap in any way. The counter is per thread because libtest runs this
+/// file's tests on parallel threads: a process-global count would charge
+/// one test's allocations to another test's measuring window.
 struct CountingAlloc;
 
-static ALLOC_OPS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and drop-free, so touching it never allocates
+    // and never fails, even during thread teardown.
+    static ALLOC_OPS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_op() {
+    let _ = ALLOC_OPS.try_with(|ops| ops.set(ops.get() + 1));
+}
 
 // SAFETY: delegates every operation verbatim to `System`; the counter is a
-// relaxed atomic with no effect on allocation behavior.
+// thread-local integer with no effect on allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
+        count_op();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,11 +57,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many heap operations it performed.
+/// Runs `f` on the calling thread and returns how many heap operations it
+/// performed there.
 fn alloc_ops_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOC_OPS.load(Ordering::Relaxed);
+    let before = ALLOC_OPS.with(Cell::get);
     let out = f();
-    let after = ALLOC_OPS.load(Ordering::Relaxed);
+    let after = ALLOC_OPS.with(Cell::get);
     (after - before, out)
 }
 

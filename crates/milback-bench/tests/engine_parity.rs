@@ -7,7 +7,7 @@
 //! else a trial does.
 
 use milback_bench::runner::{run_trials, trial_rng, RunnerConfig};
-use milback_core::{Network, Packet, Scene, Session, SessionReport, SystemConfig};
+use milback_core::{Network, Packet, Scene, Session, SessionReport, SlottedAloha, SystemConfig};
 use mmwave_sigproc::random::GaussianSource;
 
 fn session() -> Session {
@@ -151,8 +151,15 @@ fn slotted_campaign_thread_count_invariant() {
                 10e-6,
             )
             .unwrap();
-            n.run_slotted(4 + i, &payload, &plan, i as u64, 20.0, rng)
-                .unwrap()
+            n.run_mac(
+                Box::new(SlottedAloha::new(i as u64)),
+                4 + i,
+                &payload,
+                &plan,
+                20.0,
+                rng,
+            )
+            .unwrap()
         })
     };
     let reference = run(1);

@@ -7,7 +7,7 @@
 use milback_bench::experiments::{extension_mac_compare, MAC_POLICY_NAMES};
 use milback_bench::runner::{run_trials, trial_rng, RunnerConfig};
 use milback_core::protocol::SlotPlan;
-use milback_core::{Network, Packet, Scene, SlottedRunReport, SystemConfig};
+use milback_core::{Network, Packet, Scene, SlottedAloha, SlottedRunReport, SystemConfig};
 
 fn network() -> Network {
     let scene = Scene::single_node(4.0, 12f64.to_radians())
@@ -54,7 +54,14 @@ fn trait_aloha_matches_direct_through_trial_streams() {
         let mut rng_t = trial_rng(0xACE5, trial);
         let mut rng_d = trial_rng(0xACE5, trial);
         let engine = n
-            .run_slotted(6, &payload, &plan, trial as u64, 20.0, &mut rng_t)
+            .run_mac(
+                Box::new(SlottedAloha::new(trial as u64)),
+                6,
+                &payload,
+                &plan,
+                20.0,
+                &mut rng_t,
+            )
             .unwrap();
         let direct = n
             .run_slotted_direct(6, &payload, &plan, trial as u64, 20.0, &mut rng_d)
@@ -82,8 +89,15 @@ fn trait_aloha_matches_direct_at_every_thread_count() {
                     n.run_slotted_direct(4 + i, &payload, &plan, i as u64, 20.0, rng)
                         .unwrap()
                 } else {
-                    n.run_slotted(4 + i, &payload, &plan, i as u64, 20.0, rng)
-                        .unwrap()
+                    n.run_mac(
+                        Box::new(SlottedAloha::new(i as u64)),
+                        4 + i,
+                        &payload,
+                        &plan,
+                        20.0,
+                        rng,
+                    )
+                    .unwrap()
                 }
             },
         )

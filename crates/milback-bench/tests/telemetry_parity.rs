@@ -16,8 +16,8 @@ use milback_bench::experiments::{
 use milback_bench::runner::{trial_rng, RunnerConfig};
 use milback_core::protocol::SlotPlan;
 use milback_core::{
-    CampaignProbe, DropReason, LifecycleStats, Network, Packet, Scene, Session, SessionReport,
-    SlottedRunReport, SystemConfig,
+    ApServiceConfig, CampaignProbe, DropReason, LifecycleStats, Network, Packet, Scene, Session,
+    SessionReport, SlottedRunReport, SystemConfig,
 };
 use proptest::prelude::*;
 
@@ -67,7 +67,7 @@ fn assert_point_bit_exact(a: &MacComparePoint, b: &MacComparePoint) {
     );
 }
 
-/// `run_mac` vs `run_mac_probed` (metrics + full trace) on shared trial
+/// `run_mac` vs `run_mac_service_probed` (metrics + full trace) on shared trial
 /// streams, for every MAC policy: bit-identical reports, and the RNG
 /// streams advanced identically (the probe drew nothing).
 #[test]
@@ -90,13 +90,14 @@ fn probed_campaign_is_bit_identical_for_every_policy() {
             .unwrap();
         let mut probe = CampaignProbe::with_trace(4096);
         let probed = n
-            .run_mac_probed(
+            .run_mac_service_probed(
                 milback_bench::experiments::mac_policy_by_name(name, 9).unwrap(),
                 6,
                 &payload,
                 &plan,
                 20.0,
                 &mut rng_probed,
+                &ApServiceConfig::instantaneous(),
                 &mut probe,
             )
             .unwrap();
@@ -140,13 +141,14 @@ fn queue_depth_histograms_survive_trace_ring_eviction() {
     let run = |capacity: usize| {
         let mut rng = trial_rng(0xD0_0D, 0);
         let mut probe = CampaignProbe::with_trace(capacity);
-        n.run_mac_probed(
+        n.run_mac_service_probed(
             milback_bench::experiments::mac_policy_by_name("aloha", 9).unwrap(),
             6,
             &payload,
             &plan,
             20.0,
             &mut rng,
+            &ApServiceConfig::instantaneous(),
             &mut probe,
         )
         .unwrap();
@@ -278,13 +280,14 @@ fn lifecycle_recording_is_non_perturbing_at_every_thread_count() {
             .unwrap();
         let mut probe = CampaignProbe::with_trace(4096);
         let probed = n
-            .run_mac_probed(
+            .run_mac_service_probed(
                 milback_bench::experiments::mac_policy_by_name(name, 9).unwrap(),
                 6,
                 &payload,
                 &plan,
                 20.0,
                 &mut rng_probed,
+                &ApServiceConfig::instantaneous(),
                 &mut probe,
             )
             .unwrap();
@@ -474,7 +477,7 @@ fn assert_session_bit_exact(a: &SessionReport, b: &SessionReport) {
     assert_eq!(a.node_energy_j.to_bits(), b.node_energy_j.to_bits());
 }
 
-/// `run_packet` vs `run_packet_probed` on shared streams: the session
+/// `run_packet` vs `run_packet_service_probed` on shared streams: the session
 /// layer's probe (event counters, energy histogram, optional trace) is
 /// non-perturbing as well.
 #[test]
@@ -488,7 +491,12 @@ fn probed_session_is_bit_identical() {
         let plain = session.run_packet(&packet, &mut rng_plain).unwrap();
         let mut probe = CampaignProbe::with_trace(1024);
         let probed = session
-            .run_packet_probed(&packet, &mut rng_probed, &mut probe)
+            .run_packet_service_probed(
+                &packet,
+                &mut rng_probed,
+                &ApServiceConfig::instantaneous(),
+                &mut probe,
+            )
             .unwrap();
         assert_session_bit_exact(&plain, &probed);
         assert_eq!(

@@ -121,33 +121,16 @@ impl Network {
     }
 
     /// Runs an uplink round serving every node (each in its own beam/slot)
-    /// on the discrete-event engine, through the staged AP service: every
-    /// beam walks **Capture → Plan → Transmit** as three distinct events
+    /// on the discrete-event engine: every beam walks the AP's
+    /// **Capture → Plan → Transmit** stages as three distinct events
     /// (capture the granted transmission, plan the beam's interference
     /// margin, then run the link), dispatched in posting order so a fixed
     /// seed reproduces [`uplink_round_direct`](Self::uplink_round_direct)
-    /// bit-for-bit. This is
-    /// [`uplink_round_service`](Self::uplink_round_service) with the
-    /// instantaneous (zero-latency) service configuration.
+    /// bit-for-bit.
     pub fn uplink_round(
         &self,
         payloads: &[Vec<u8>],
         rng: &mut GaussianSource,
-    ) -> Result<Vec<NodeReport>> {
-        self.uplink_round_service(payloads, rng, &ApServiceConfig::instantaneous())
-    }
-
-    /// [`uplink_round`](Self::uplink_round) under an explicit
-    /// [`ApServiceConfig`]: each beam's Capture → Plan → Transmit events
-    /// are spaced by the configured stage latencies. Beams are concurrent
-    /// (one staged actor per node, no shared queue on this path), and the
-    /// physics never reads the clock, so the round report is identical for
-    /// any latency setting — only the event timeline stretches.
-    pub fn uplink_round_service(
-        &self,
-        payloads: &[Vec<u8>],
-        rng: &mut GaussianSource,
-        service: &ApServiceConfig,
     ) -> Result<Vec<NodeReport>> {
         if payloads.len() != self.node_count() {
             return Err(MilbackError::Config(format!(
@@ -169,7 +152,6 @@ impl Network {
             let id = engine.add_actor(Box::new(BeamActor {
                 me: ActorId(idx),
                 idx,
-                service: *service,
             }));
             debug_assert_eq!(id, ActorId(idx));
             engine.post(0, id, RoundEvent::Stage(StageKind::Capture));
@@ -204,47 +186,28 @@ impl Network {
             .collect()
     }
 
-    /// Runs a slotted-ALOHA campaign on the engine: `frames` frames of the
-    /// given [`SlotPlan`], every node transmitting `payload` once per frame
-    /// in its hashed slot and sleeping otherwise (per-node duty cycling).
+    /// Runs a slotted campaign under an arbitrary [`MacPolicy`]: `frames`
+    /// frames of the given [`SlotPlan`], the policy deciding which nodes
+    /// transmit `payload` in which slot of each frame (nodes sleep
+    /// otherwise: per-node duty cycling) and the engine firing the slots on
+    /// the shared clock.
     ///
-    /// When several nodes hash into the same slot, the AP attempts SDM: if
-    /// every pair in the slot is separable by at least `sdm_threshold_db`
-    /// of beam isolation, all are served concurrently (with
-    /// cross-beam-degraded SNR); otherwise the slot is a collision and
-    /// every packet in it is lost. Either way the transmitters spend uplink
-    /// energy for the packet airtime — a lost slot still drains the ledger,
-    /// which is exactly the cost ALOHA retries carry at scale.
-    ///
-    /// This is [`run_mac`](Self::run_mac) with the [`SlottedAloha`] policy;
-    /// [`run_slotted_direct`](Self::run_slotted_direct) retains the
-    /// pre-trait implementation as the bit-exactness reference.
-    pub fn run_slotted(
-        &self,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        slot_seed: u64,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-    ) -> Result<SlottedRunReport> {
-        self.run_mac(
-            Box::new(SlottedAloha::new(slot_seed)),
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-        )
-    }
-
-    /// Runs a slotted campaign under an arbitrary [`MacPolicy`]: the policy
-    /// decides which nodes transmit in which slot of each frame, the engine
-    /// fires the slots on the shared clock, and the AP arbitrates each
-    /// group by SDM separability exactly as in
-    /// [`run_slotted`](Self::run_slotted). Accounting (attempts, energy,
+    /// When several nodes share a slot, the AP attempts SDM: if every pair
+    /// in the slot is separable by at least `sdm_threshold_db` of beam
+    /// isolation, all are served concurrently (with cross-beam-degraded
+    /// SNR); otherwise the slot is a collision and every packet in it is
+    /// lost. Either way the transmitters spend uplink energy for the packet
+    /// airtime — a lost slot still drains the ledger, which is exactly the
+    /// cost ALOHA retries carry at scale. Accounting (attempts, energy,
     /// collisions, duty-cycled idle drain) is policy-independent, so the
     /// per-node reports compare across policies.
+    ///
+    /// The AP serves instantaneously and nothing is relayed. Under
+    /// [`SlottedAloha`] this is the slotted-ALOHA campaign, and
+    /// [`run_slotted_direct`](Self::run_slotted_direct) retains the
+    /// pre-trait implementation as its bit-exactness reference. A packet
+    /// ledger that fails the conservation audit is a
+    /// [`MilbackError::Conservation`].
     pub fn run_mac(
         &self,
         policy: Box<dyn MacPolicy>,
@@ -254,7 +217,7 @@ impl Network {
         sdm_threshold_db: f64,
         rng: &mut GaussianSource,
     ) -> Result<SlottedRunReport> {
-        self.run_mac_service(
+        self.run_mac_engine(
             policy,
             frames,
             payload,
@@ -262,6 +225,10 @@ impl Network {
             sdm_threshold_db,
             rng,
             &ApServiceConfig::instantaneous(),
+            &RelayConfig::disabled(),
+            &mut CampaignProbe::disabled(),
+            &mut CampaignScratch::new(),
+            Self::finish_slotted,
         )
     }
 
@@ -271,8 +238,7 @@ impl Network {
     /// event with its configured processing latency and a bounded FIFO
     /// queue (see [`OverflowPolicy`] for what a full queue does). The
     /// instantaneous configuration reproduces [`run_mac`](Self::run_mac)
-    /// bit-for-bit — `run_mac` is literally this function with that
-    /// config — and the report's [`ApServiceStats`] ledger records
+    /// bit-for-bit, and the report's [`ApServiceStats`] ledger records
     /// offered/served/dropped/deferred/degraded grants either way.
     #[allow(clippy::too_many_arguments)]
     pub fn run_mac_service(
@@ -285,8 +251,7 @@ impl Network {
         rng: &mut GaussianSource,
         service: &ApServiceConfig,
     ) -> Result<SlottedRunReport> {
-        let mut probe = CampaignProbe::disabled();
-        self.run_mac_service_probed(
+        self.run_mac_engine(
             policy,
             frames,
             payload,
@@ -294,50 +259,26 @@ impl Network {
             sdm_threshold_db,
             rng,
             service,
-            &mut probe,
-        )
-    }
-
-    /// [`run_mac`](Self::run_mac) with an instrumentation probe attached.
-    ///
-    /// The probe collects counters/histograms (slot occupancy, collisions,
-    /// energy, SNR) and — when tracing — structured records of every
-    /// engine dispatch, slot outcome, policy decision, and energy draw.
-    /// Recording is non-perturbing by construction: the probe only copies
-    /// values the campaign already computed, draws no randomness, and
-    /// reads no clocks; `run_mac` is literally this function with a
-    /// disabled probe, and the parity suite proves both produce
-    /// bit-identical reports.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_probed(
-        &self,
-        policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-        probe: &mut CampaignProbe,
-    ) -> Result<SlottedRunReport> {
-        self.run_mac_service_probed(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            &ApServiceConfig::instantaneous(),
-            probe,
+            &RelayConfig::disabled(),
+            &mut CampaignProbe::disabled(),
+            &mut CampaignScratch::new(),
+            Self::finish_slotted,
         )
     }
 
     /// [`run_mac_service`](Self::run_mac_service) with an instrumentation
-    /// probe attached: besides the campaign counters the probe already
-    /// collects, the staged pipeline records per-stage queue-occupancy
-    /// histograms (`ap_queue_*`), the offered/served/dropped/deferred/
-    /// degraded counters (`ap_*`), and — losslessly, straight from the
-    /// engine's dispatch-time tallies — per-event-kind queue-depth
-    /// histograms (`queue_depth_*`).
+    /// probe attached.
+    ///
+    /// The probe collects counters/histograms (slot occupancy, collisions,
+    /// energy, SNR, the `ap_*` service counters, per-stage queue occupancy
+    /// `ap_queue_*`, and — losslessly, straight from the engine's
+    /// dispatch-time tallies — per-event-kind queue depths `queue_depth_*`)
+    /// and, when tracing, structured records of every engine dispatch, slot
+    /// outcome, policy decision, and energy draw. Recording is
+    /// non-perturbing by construction: the probe only copies values the
+    /// campaign already computed, draws no randomness, and reads no clocks,
+    /// and the parity suite proves probed and plain runs produce
+    /// bit-identical reports.
     #[allow(clippy::too_many_arguments)]
     pub fn run_mac_service_probed(
         &self,
@@ -350,7 +291,7 @@ impl Network {
         service: &ApServiceConfig,
         probe: &mut CampaignProbe,
     ) -> Result<SlottedRunReport> {
-        let m = self.run_mac_engine(
+        self.run_mac_engine(
             policy,
             frames,
             payload,
@@ -360,50 +301,26 @@ impl Network {
             service,
             &RelayConfig::disabled(),
             probe,
-            None,
-        )?;
-        Ok(Self::finish_slotted(&m, frames, plan, payload))
-    }
-
-    /// [`run_mac`](Self::run_mac) with multi-hop tag-to-tag relaying:
-    /// nodes outside `relay.coverage` (gap nodes) cannot be heard by the
-    /// AP directly — their delivery path, if any, is the relay schedule
-    /// the policy grants (see
-    /// [`RelayAwareMac`](crate::relay::RelayAwareMac)). Per-hop energy and
-    /// latency land in the report's relay columns.
-    ///
-    /// [`RelayConfig::disabled`] reproduces [`run_mac`](Self::run_mac)
-    /// bit-for-bit: full coverage gates nothing, no routes exist, and no
-    /// extra randomness is drawn — the parity suite proves it by `==` and
-    /// `to_bits`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_relay(
-        &self,
-        policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-        relay: &RelayConfig,
-    ) -> Result<SlottedRunReport> {
-        self.run_mac_relay_service(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            &ApServiceConfig::instantaneous(),
-            relay,
+            &mut CampaignScratch::new(),
+            Self::finish_slotted,
         )
     }
 
-    /// [`run_mac_relay`](Self::run_mac_relay) under an explicit
-    /// [`ApServiceConfig`]. Relay chains are tag-side transmissions, so
-    /// they bypass the AP's Capture → Plan → Transmit pipeline: only the
-    /// terminal uplink's direct-slot siblings contend for AP service, and
-    /// the service ledger counts direct grants exactly as without relays.
+    /// [`run_mac_service`](Self::run_mac_service) with multi-hop
+    /// tag-to-tag relaying: nodes outside `relay.coverage` (gap nodes)
+    /// cannot be heard by the AP directly — their delivery path, if any, is
+    /// the relay schedule the policy grants (see
+    /// [`RelayAwareMac`](crate::relay::RelayAwareMac)). Per-hop energy and
+    /// latency land in the report's relay columns. Relay chains are
+    /// tag-side transmissions, so they bypass the AP's
+    /// Capture → Plan → Transmit pipeline: only the terminal uplink's
+    /// direct-slot siblings contend for AP service, and the service ledger
+    /// counts direct grants exactly as without relays.
+    ///
+    /// [`RelayConfig::disabled`] reproduces
+    /// [`run_mac_service`](Self::run_mac_service) bit-for-bit: full
+    /// coverage gates nothing, no routes exist, and no extra randomness is
+    /// drawn — the parity suite proves it by `==` and `to_bits`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_mac_relay_service(
         &self,
@@ -416,8 +333,7 @@ impl Network {
         service: &ApServiceConfig,
         relay: &RelayConfig,
     ) -> Result<SlottedRunReport> {
-        let mut probe = CampaignProbe::disabled();
-        let m = self.run_mac_engine(
+        self.run_mac_engine(
             policy,
             frames,
             payload,
@@ -426,92 +342,30 @@ impl Network {
             rng,
             service,
             relay,
-            &mut probe,
-            None,
-        )?;
-        Ok(Self::finish_slotted(&m, frames, plan, payload))
+            &mut CampaignProbe::disabled(),
+            &mut CampaignScratch::new(),
+            Self::finish_slotted,
+        )
     }
 
-    /// [`run_mac`](Self::run_mac) with streaming accounting: instead of
+    /// [`run_mac_relay_service`](Self::run_mac_relay_service) with
+    /// streaming accounting, for the sharded runner: instead of
     /// materializing a per-node `Vec<SlottedNodeReport>`, each node's
-    /// ledger row is folded straight into `agg` — fixed-size counters and
-    /// fixed-bucket histograms — so peak report memory is O(buckets), not
-    /// O(nodes). `scratch` recycles the campaign's per-node ledger vectors
-    /// across calls (a sharded runner's workers reuse one scratch per
-    /// worker thread); its incoming contents are zeroed before use and
-    /// never influence the result.
+    /// ledger row (relay columns included) is folded straight into `agg`
+    /// — fixed-size counters and fixed-bucket histograms — so peak report
+    /// memory is O(buckets), not O(nodes). The run's [`ApServiceStats`]
+    /// and [`LifecycleStats`] fold in too, exactly as
+    /// [`CampaignAggregate::observe_run`] folds them from a report.
+    /// `scratch` recycles the campaign's per-node ledger vectors across
+    /// calls; its incoming contents are zeroed before use and never
+    /// influence the result.
     ///
-    /// The folded values are bit-identical to what
-    /// [`run_mac`](Self::run_mac) reports: both paths share one engine run
-    /// and one per-node finishing computation, differing only in whether
-    /// each [`SlottedNodeReport`] is pushed into a `Vec` or observed into
-    /// the aggregate.
+    /// The folded values are bit-identical to what the report path
+    /// returns: both share one engine run and one per-node finishing
+    /// computation, differing only in whether each [`SlottedNodeReport`]
+    /// is pushed into a `Vec` or observed into the aggregate.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_streaming(
-        &self,
-        policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-        scratch: &mut CampaignScratch,
-        agg: &mut CampaignAggregate,
-    ) -> Result<()> {
-        self.run_mac_streaming_service(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            &ApServiceConfig::instantaneous(),
-            scratch,
-            agg,
-        )
-    }
-
-    /// [`run_mac_streaming`](Self::run_mac_streaming) under an explicit
-    /// [`ApServiceConfig`]: the per-node fold is unchanged, and the run's
-    /// [`ApServiceStats`] (offered/served/dropped/deferred/degraded) fold
-    /// into the aggregate's service ledger — exactly what
-    /// [`CampaignAggregate::observe_run`] folds from a materialized
-    /// report, so the streaming and report paths stay interchangeable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_streaming_service(
-        &self,
-        policy: Box<dyn MacPolicy>,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        rng: &mut GaussianSource,
-        service: &ApServiceConfig,
-        scratch: &mut CampaignScratch,
-        agg: &mut CampaignAggregate,
-    ) -> Result<()> {
-        self.run_mac_streaming_relay_service(
-            policy,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            rng,
-            service,
-            &RelayConfig::disabled(),
-            scratch,
-            agg,
-        )
-    }
-
-    /// [`run_mac_streaming_service`](Self::run_mac_streaming_service) with
-    /// multi-hop relaying: the streaming counterpart of
-    /// [`run_mac_relay_service`](Self::run_mac_relay_service), folding the
-    /// per-node relay ledgers (gap classification, relayed deliveries,
-    /// hops, forwarding energy, hop latency) straight into the aggregate's
-    /// relay counters and hop histogram.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mac_streaming_relay_service(
+    pub(crate) fn run_mac_streaming_relay_service(
         &self,
         policy: Box<dyn MacPolicy>,
         frames: usize,
@@ -524,8 +378,7 @@ impl Network {
         scratch: &mut CampaignScratch,
         agg: &mut CampaignAggregate,
     ) -> Result<()> {
-        let mut probe = CampaignProbe::disabled();
-        let m = self.run_mac_engine(
+        self.run_mac_engine(
             policy,
             frames,
             payload,
@@ -534,35 +387,38 @@ impl Network {
             rng,
             service,
             relay,
-            &mut probe,
-            Some(scratch),
-        )?;
-        agg.begin_run(frames, ps_to_secs(plan.frame_ps()), payload.len());
-        Self::for_each_node_report(&m, frames, plan, |r| agg.observe_node(&r));
-        agg.service.merge_from(&m.service);
-        agg.lifecycle.merge_from(&m.lifecycle);
-        scratch.reclaim(m);
-        Ok(())
+            &mut CampaignProbe::disabled(),
+            scratch,
+            |m| {
+                agg.begin_run(m.frames, m.frame_s, m.payload.len());
+                Self::for_each_node_report(m, |r| agg.observe_node(&r))?;
+                agg.service.merge_from(&m.service);
+                agg.lifecycle.merge_from(&m.lifecycle);
+                Ok(())
+            },
+        )
     }
 
     /// The shared engine core of every policy-driven campaign path: runs
-    /// `policy` over `frames` frames on a fresh [`Engine`] and returns the
-    /// settled medium with its per-node ledgers. Callers decide how to
-    /// finish the ledgers (per-node report `Vec` or streaming aggregate).
+    /// `policy` over `frames` frames on a fresh [`Engine`] whose per-node
+    /// ledgers recycle `scratch`, hands the settled medium to `finish`
+    /// (per-node report `Vec` or streaming aggregate), and returns the
+    /// ledgers to `scratch`.
     #[allow(clippy::too_many_arguments)]
-    fn run_mac_engine<'a>(
-        &'a self,
+    fn run_mac_engine<T>(
+        &self,
         mut policy: Box<dyn MacPolicy>,
         frames: usize,
-        payload: &'a [u8],
+        payload: &[u8],
         plan: &SlotPlan,
         sdm_threshold_db: f64,
-        rng: &'a mut GaussianSource,
+        rng: &mut GaussianSource,
         service: &ApServiceConfig,
         relay: &RelayConfig,
         probe: &mut CampaignProbe,
-        scratch: Option<&mut CampaignScratch>,
-    ) -> Result<SlotMedium<'a>> {
+        scratch: &mut CampaignScratch,
+        finish: impl FnOnce(&SlotMedium<'_>) -> Result<T>,
+    ) -> Result<T> {
         let airtime_s = self.slotted_airtime_s(payload, plan)?;
         {
             let ctx = MacContext {
@@ -579,10 +435,7 @@ impl Network {
         // after `begin` so policies see the same stream position either way.
         let jitter_state = (service.jitter_ps > 0)
             .then(|| u64::from_le_bytes(rng.bytes(8).try_into().expect("eight bytes")));
-        let mut medium = match scratch {
-            Some(s) => self.slot_medium_recycled(payload, airtime_s, rng, s),
-            None => self.slot_medium(payload, airtime_s, rng),
-        };
+        let mut medium = self.slot_medium(frames, plan, payload, airtime_s, rng, scratch);
         // Coverage defaults to all-true; an unbounded model skips the
         // classification loop entirely so the parity path never touches
         // the per-node flags (delivery gating on `true` is an identity).
@@ -633,7 +486,9 @@ impl Network {
         if let Some(d) = depths {
             probe.merge_queue_depths(d.entries());
         }
-        Ok(m)
+        let out = finish(&m)?;
+        scratch.reclaim(m);
+        Ok(out)
     }
 
     /// The pre-trait slotted-ALOHA campaign, retained verbatim as the
@@ -650,7 +505,8 @@ impl Network {
         rng: &mut GaussianSource,
     ) -> Result<SlottedRunReport> {
         let airtime_s = self.slotted_airtime_s(payload, plan)?;
-        let medium = self.slot_medium(payload, airtime_s, rng);
+        let mut scratch = CampaignScratch::new();
+        let medium = self.slot_medium(frames, plan, payload, airtime_s, rng, &mut scratch);
         let mut engine = Engine::new(medium);
         let coordinator = engine.add_actor(Box::new(SlotCoordinator {
             me: ActorId(0),
@@ -663,8 +519,7 @@ impl Network {
             engine.post(0, coordinator, SlotEvent::FrameStart { frame: 0 });
         }
         engine.run()?;
-        let m = engine.into_medium();
-        Ok(Self::finish_slotted(&m, frames, plan, payload))
+        Self::finish_slotted(&engine.into_medium())
     }
 
     /// Validates that one `payload` packet (plus guard) fits a slot of
@@ -681,43 +536,13 @@ impl Network {
         Ok(airtime_s)
     }
 
-    /// A fresh campaign medium with zeroed per-node ledgers.
+    /// A campaign medium for `frames` frames of `plan`, its per-node
+    /// ledgers recycling `scratch`'s vectors (zeroed before use, so only
+    /// the allocations depend on the scratch's history).
     fn slot_medium<'a>(
         &'a self,
-        payload: &'a [u8],
-        airtime_s: f64,
-        rng: &'a mut GaussianSource,
-    ) -> SlotMedium<'a> {
-        let n = self.node_count();
-        SlotMedium {
-            net: self,
-            rng,
-            payload,
-            airtime_s,
-            power: NodePowerModel::milback_default(),
-            attempts: vec![0; n],
-            delivered: vec![0; n],
-            collisions: vec![0; n],
-            energy_j: vec![0.0; n],
-            snr_sum_db: vec![0.0; n],
-            covered: vec![true; n],
-            relayed: vec![0; n],
-            relay_hops: vec![0; n],
-            forwarded: vec![0; n],
-            relay_energy_j: vec![0.0; n],
-            relay_latency_s: vec![0.0; n],
-            gap_reason: Vec::new(),
-            lifecycle: LifecycleStats::new(),
-            probe: CampaignProbe::disabled(),
-            service: ApServiceStats::default(),
-        }
-    }
-
-    /// A campaign medium whose per-node ledgers recycle `scratch`'s
-    /// vectors (zeroed before use). Bit-identical to
-    /// [`slot_medium`](Self::slot_medium): only the allocations differ.
-    fn slot_medium_recycled<'a>(
-        &'a self,
+        frames: usize,
+        plan: &SlotPlan,
         payload: &'a [u8],
         airtime_s: f64,
         rng: &'a mut GaussianSource,
@@ -734,6 +559,8 @@ impl Network {
             net: self,
             rng,
             payload,
+            frames,
+            frame_s: ps_to_secs(plan.frame_ps()),
             airtime_s,
             power: NodePowerModel::milback_default(),
             attempts: recycle(&mut scratch.attempts, n, 0),
@@ -754,19 +581,20 @@ impl Network {
         }
     }
 
-    /// Runs each node's finished report — duty-cycled idle energy folded
-    /// in — through `each`, without materializing a report `Vec`. Shared
-    /// by every MAC finishing path so accounting cannot drift between the
-    /// per-node-report and streaming-aggregate outputs.
+    /// The finishing step every campaign output shares: audits the run's
+    /// packet ledger for conservation ([`MilbackError::Conservation`] on
+    /// violation), then runs each node's finished report — duty-cycled
+    /// idle energy folded in — through `each`, without materializing a
+    /// report `Vec`. One walk for the per-node-report and
+    /// streaming-aggregate outputs, so their accounting cannot drift.
     fn for_each_node_report(
         m: &SlotMedium<'_>,
-        frames: usize,
-        plan: &SlotPlan,
         mut each: impl FnMut(SlottedNodeReport),
-    ) {
+    ) -> Result<()> {
+        m.lifecycle.audit()?;
         let n = m.net.node_count();
         // Duty cycling: outside its own transmissions every node idles.
-        let total_s = frames as f64 * ps_to_secs(plan.frame_ps());
+        let total_s = m.frames as f64 * m.frame_s;
         for idx in 0..n {
             // Forwarded relay transmissions are airtime too: without them
             // the idle-energy complement would double-bill relays as both
@@ -791,33 +619,24 @@ impl Network {
                 relay_latency_s: m.relay_latency_s[idx],
             });
         }
+        Ok(())
     }
 
     /// Assembles the per-node report `Vec` from a settled medium — the
     /// collecting counterpart of the streaming fold in
-    /// [`run_mac_streaming`](Self::run_mac_streaming); both walk
-    /// [`for_each_node_report`](Self::for_each_node_report).
-    fn finish_slotted(
-        m: &SlotMedium<'_>,
-        frames: usize,
-        plan: &SlotPlan,
-        payload: &[u8],
-    ) -> SlottedRunReport {
+    /// [`run_mac_streaming_relay_service`](Self::run_mac_streaming_relay_service);
+    /// both walk [`for_each_node_report`](Self::for_each_node_report).
+    fn finish_slotted(m: &SlotMedium<'_>) -> Result<SlottedRunReport> {
         let mut nodes = Vec::with_capacity(m.net.node_count());
-        Self::for_each_node_report(m, frames, plan, |r| nodes.push(r));
-        debug_assert!(
-            m.lifecycle.audit().is_ok(),
-            "lifecycle ledger must conserve at run end: {:?}",
-            m.lifecycle.audit()
-        );
-        SlottedRunReport {
-            frames,
-            frame_s: ps_to_secs(plan.frame_ps()),
-            payload_bytes: payload.len(),
+        Self::for_each_node_report(m, |r| nodes.push(r))?;
+        Ok(SlottedRunReport {
+            frames: m.frames,
+            frame_s: m.frame_s,
+            payload_bytes: m.payload.len(),
             nodes,
             service: m.service,
             lifecycle: m.lifecycle.clone(),
-        }
+        })
     }
 }
 
@@ -847,11 +666,12 @@ struct RoundMedium<'a> {
 /// [`Network::serve_uplink`] computes (the margin fold and the SNR
 /// degradation are pure float expressions, and the RNG is drawn only in
 /// Transmit, in node order), so the parity suite's `==`/`to_bits` checks
-/// against [`Network::uplink_round_direct`] hold for any stage latency.
+/// against [`Network::uplink_round_direct`] hold. Every stage posts the
+/// next at the same instant, so the engine's `(time, seq)` order runs all
+/// captures, then all plans, then all transmits, each in node order.
 struct BeamActor {
     me: ActorId,
     idx: usize,
-    service: ApServiceConfig,
 }
 
 impl<'a> Actor<RoundMedium<'a>, RoundEvent> for BeamActor {
@@ -869,11 +689,7 @@ impl<'a> Actor<RoundMedium<'a>, RoundEvent> for BeamActor {
                 // view; anything else is a configuration error surfaced
                 // before any plan or transmission work is spent.
                 m.net.view_for(self.idx)?;
-                out.post_at(
-                    now_ps + self.service.stage_latency_ps(StageKind::Capture),
-                    self.me,
-                    RoundEvent::Stage(StageKind::Plan),
-                );
+                out.post_at(now_ps, self.me, RoundEvent::Stage(StageKind::Plan));
             }
             StageKind::Plan => {
                 // Beam plan: the worst concurrent-beam leakage toward this
@@ -883,11 +699,7 @@ impl<'a> Actor<RoundMedium<'a>, RoundEvent> for BeamActor {
                     .map(|o| m.net.sdm_margin_db(self.idx, o))
                     .fold(f64::INFINITY, f64::min);
                 m.margins[self.idx] = Some(margin);
-                out.post_at(
-                    now_ps + self.service.stage_latency_ps(StageKind::Plan),
-                    self.me,
-                    RoundEvent::Stage(StageKind::Transmit),
-                );
+                out.post_at(now_ps, self.me, RoundEvent::Stage(StageKind::Transmit));
             }
             StageKind::Transmit => {
                 let margin = m.margins[self.idx]
@@ -958,7 +770,7 @@ pub struct SlottedNodeReport {
     pub relay_latency_s: f64,
 }
 
-/// The outcome of [`Network::run_slotted`].
+/// The outcome of a [`Network::run_mac`] campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlottedRunReport {
     /// Frames simulated.
@@ -1298,9 +1110,10 @@ impl Default for CampaignAggregate {
     }
 }
 
-/// Reusable per-worker ledger buffers for campaign runs: the five per-node
-/// ledger vectors a [`Network::run_mac_streaming`] campaign needs, recycled
-/// across a worker's cells instead of reallocated per cell. Contents are
+/// Reusable per-worker ledger buffers for campaign runs: the per-node
+/// ledger vectors every campaign's engine medium needs, recycled across a
+/// sharded worker's cells instead of reallocated per cell (a report-path
+/// run passes a fresh scratch). Contents are
 /// zeroed before every use, so (per the
 /// [`parallel::for_each_chunk_with`](mmwave_sigproc::parallel::for_each_chunk_with)
 /// contract) scratch state can never influence a result.
@@ -1396,6 +1209,10 @@ struct SlotMedium<'a> {
     net: &'a Network,
     rng: &'a mut GaussianSource,
     payload: &'a [u8],
+    /// Frames the campaign runs and their length, seconds: the window
+    /// every node's duty-cycled idle energy is billed over.
+    frames: usize,
+    frame_s: f64,
     airtime_s: f64,
     power: NodePowerModel,
     attempts: Vec<usize>,
@@ -2770,7 +2587,14 @@ mod tests {
         .unwrap();
         let mut rng = GaussianSource::new(0x510);
         let r = n
-            .run_slotted(6, &[0x42; 16], &plan, 0xFEED, 20.0, &mut rng)
+            .run_mac(
+                Box::new(SlottedAloha::new(0xFEED)),
+                6,
+                &[0x42; 16],
+                &plan,
+                20.0,
+                &mut rng,
+            )
             .unwrap();
         assert_eq!(r.frames, 6);
         assert_eq!(r.nodes.len(), 2);
@@ -2802,8 +2626,15 @@ mod tests {
             )
             .unwrap();
             let mut rng = GaussianSource::new(0xABCD);
-            n.run_slotted(4, &[7u8; 8], &plan, 1, 20.0, &mut rng)
-                .unwrap()
+            n.run_mac(
+                Box::new(SlottedAloha::new(1)),
+                4,
+                &[7u8; 8],
+                &plan,
+                20.0,
+                &mut rng,
+            )
+            .unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -2825,7 +2656,14 @@ mod tests {
         .unwrap();
         let mut rng = GaussianSource::new(0xC0);
         let r = n
-            .run_slotted(12, &[0x42; 16], &plan, 3, 20.0, &mut rng)
+            .run_mac(
+                Box::new(SlottedAloha::new(3)),
+                12,
+                &[0x42; 16],
+                &plan,
+                20.0,
+                &mut rng,
+            )
             .unwrap();
         let shared: usize = (0..12)
             .filter(|&f| plan.slot_for(0, f, 3) == plan.slot_for(1, f, 3))
@@ -2853,7 +2691,14 @@ mod tests {
         let mut rng = GaussianSource::new(1);
         // A much larger payload does not fit the 2-byte slots.
         assert!(n
-            .run_slotted(1, &[0u8; 4096], &plan, 0, 20.0, &mut rng)
+            .run_mac(
+                Box::new(SlottedAloha::new(0)),
+                1,
+                &[0u8; 4096],
+                &plan,
+                20.0,
+                &mut rng
+            )
             .is_err());
     }
 
@@ -2953,7 +2798,14 @@ mod tests {
         let mut rng_t = GaussianSource::new(0xACE);
         let mut rng_d = GaussianSource::new(0xACE);
         let via_trait = n
-            .run_slotted(6, &payload, &plan, 9, 20.0, &mut rng_t)
+            .run_mac(
+                Box::new(SlottedAloha::new(9)),
+                6,
+                &payload,
+                &plan,
+                20.0,
+                &mut rng_t,
+            )
             .unwrap();
         let direct = n
             .run_slotted_direct(6, &payload, &plan, 9, 20.0, &mut rng_d)
@@ -3053,7 +2905,14 @@ mod tests {
         let frames = 24;
         let mut rng_a = GaussianSource::new(0xD0);
         let aloha = n
-            .run_slotted(frames, &payload, &plan, 1, 20.0, &mut rng_a)
+            .run_mac(
+                Box::new(SlottedAloha::new(1)),
+                frames,
+                &payload,
+                &plan,
+                20.0,
+                &mut rng_a,
+            )
             .unwrap();
         assert_eq!(
             aloha.nodes.iter().map(|nd| nd.delivered).sum::<usize>(),
@@ -3228,7 +3087,14 @@ mod tests {
         let plan = plan_for(&n, 1, &payload);
         let mut rng = GaussianSource::new(0xE0);
         let r = n
-            .run_slotted(4, &payload, &plan, 1, 20.0, &mut rng)
+            .run_mac(
+                Box::new(SlottedAloha::new(1)),
+                4,
+                &payload,
+                &plan,
+                20.0,
+                &mut rng,
+            )
             .unwrap();
         for node in &r.nodes {
             assert_eq!(node.delivered, 0);

@@ -284,43 +284,28 @@ impl Session {
     /// Bit-identical to [`run_packet_direct`](Self::run_packet_direct) for
     /// any seed — the parity suite enforces this.
     pub fn run_packet(&self, packet: &Packet, rng: &mut GaussianSource) -> Result<SessionReport> {
-        let mut probe = CampaignProbe::disabled();
-        self.run_packet_probed(packet, rng, &mut probe)
+        self.run_packet_service_probed(
+            packet,
+            rng,
+            &ApServiceConfig::instantaneous(),
+            &mut CampaignProbe::disabled(),
+        )
     }
 
     /// [`run_packet`](Self::run_packet) under an explicit
-    /// [`ApServiceConfig`]: the AP's Field-2 processing, carrier planning,
-    /// and transmit setup each cost their configured stage latency, so the
-    /// payload starts `total_latency_ps` later than the instantaneous
-    /// timeline. The physics and the RNG draw order are unchanged — only
-    /// event timestamps shift — so the report is identical up to the
-    /// session clock.
-    pub fn run_packet_service(
-        &self,
-        packet: &Packet,
-        rng: &mut GaussianSource,
-        service: &ApServiceConfig,
-    ) -> Result<SessionReport> {
-        let mut probe = CampaignProbe::disabled();
-        self.run_packet_service_probed(packet, rng, service, &mut probe)
-    }
-
-    /// [`run_packet`](Self::run_packet) with an instrumentation probe:
-    /// when tracing, every dispatched session event is recorded
+    /// [`ApServiceConfig`] and with an instrumentation probe.
+    ///
+    /// The AP's Field-2 processing, carrier planning, and transmit setup
+    /// each cost their configured stage latency, so the payload starts
+    /// `total_latency_ps` later than the instantaneous timeline. The
+    /// physics and the RNG draw order are unchanged — only event
+    /// timestamps shift — so the report is identical up to the session
+    /// clock.
+    ///
+    /// When tracing, every dispatched session event is recorded
     /// `(time_ps, seq, actor, kind)`; metrics count dispatches, mode
-    /// switches, and the node energy draw. `run_packet` is this function
-    /// with a disabled probe — the probe copies values the session already
-    /// computed and can never perturb it.
-    pub fn run_packet_probed(
-        &self,
-        packet: &Packet,
-        rng: &mut GaussianSource,
-        probe: &mut CampaignProbe,
-    ) -> Result<SessionReport> {
-        self.run_packet_service_probed(packet, rng, &ApServiceConfig::instantaneous(), probe)
-    }
-
-    /// The full session runner: explicit service config and probe.
+    /// switches, and the node energy draw. The probe copies values the
+    /// session already computed and can never perturb it.
     pub fn run_packet_service_probed(
         &self,
         packet: &Packet,
@@ -607,11 +592,12 @@ mod tests {
         let mut rng_b = GaussianSource::new(0xC0FFEE);
         let instant = s.run_packet(&packet, &mut rng_a).unwrap();
         let staged = s
-            .run_packet_service(
+            .run_packet_service_probed(
                 &packet,
                 &mut rng_b,
                 &ApServiceConfig::instantaneous()
                     .with_stage_latencies(1_000_000, 2_000_000, 3_000_000),
+                &mut CampaignProbe::disabled(),
             )
             .unwrap();
         assert_eq!(instant, staged);

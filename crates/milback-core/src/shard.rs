@@ -148,79 +148,19 @@ impl Network {
     /// order. The result is bit-identical at any thread count, and peak
     /// report memory is O(cells + buckets) — no per-node `Vec` exists on
     /// this path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded_mac<F>(
-        &self,
-        n_cells: usize,
-        threads: usize,
-        campaign_seed: u64,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        policy_for_cell: F,
-    ) -> Result<CampaignAggregate>
-    where
-        F: Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
-    {
-        self.run_sharded_mac_service(
-            n_cells,
-            threads,
-            campaign_seed,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            &ApServiceConfig::instantaneous(),
-            policy_for_cell,
-        )
-    }
-
-    /// [`run_sharded_mac`](Self::run_sharded_mac) under an explicit
-    /// [`ApServiceConfig`]: every cell's AP runs its own staged
-    /// **Capture → Plan → Transmit** pipeline (stage queues are per-cell —
-    /// cells are independent APs), and the per-cell
+    ///
+    /// Every cell's AP runs its own staged **Capture → Plan → Transmit**
+    /// pipeline under `service` (stage queues are per-cell — cells are
+    /// independent APs), and the per-cell
     /// [`ApServiceStats`](crate::pipeline::ApServiceStats) ledgers fold
-    /// into the streaming aggregate's `service` counters in cell index
-    /// order, exact u64 adds all the way up.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sharded_mac_service<F>(
-        &self,
-        n_cells: usize,
-        threads: usize,
-        campaign_seed: u64,
-        frames: usize,
-        payload: &[u8],
-        plan: &SlotPlan,
-        sdm_threshold_db: f64,
-        service: &ApServiceConfig,
-        policy_for_cell: F,
-    ) -> Result<CampaignAggregate>
-    where
-        F: Fn(usize, u64) -> Box<dyn MacPolicy> + Sync,
-    {
-        self.run_sharded_mac_relay(
-            n_cells,
-            threads,
-            campaign_seed,
-            frames,
-            payload,
-            plan,
-            sdm_threshold_db,
-            service,
-            &RelayConfig::disabled(),
-            policy_for_cell,
-        )
-    }
-
-    /// [`run_sharded_mac_service`](Self::run_sharded_mac_service) with
-    /// multi-hop tag-to-tag relaying: every cell classifies its nodes
-    /// against `relay.coverage` and runs relay chains for its gap nodes
-    /// (routes are per-cell — relays never cross a cell boundary, because
-    /// cells are independent engines). A
-    /// [`RelayConfig::disabled`] config reproduces
-    /// [`run_sharded_mac_service`](Self::run_sharded_mac_service)
-    /// bit-for-bit; the parity suite proves it.
+    /// into the aggregate's `service` counters in cell index order, exact
+    /// u64 adds all the way up. Every cell classifies its nodes against
+    /// `relay.coverage` and runs relay chains for its gap nodes (routes
+    /// are per-cell — relays never cross a cell boundary, because cells
+    /// are independent engines). [`ApServiceConfig::instantaneous`] and
+    /// [`RelayConfig::disabled`] give the plain slotted campaign. A cell
+    /// whose packet ledger fails the conservation audit fails the
+    /// campaign with [`MilbackError::Conservation`] before it is merged.
     #[allow(clippy::too_many_arguments)]
     pub fn run_sharded_mac_relay<F>(
         &self,
@@ -254,11 +194,6 @@ impl Network {
                 scratch,
                 &mut agg,
             )?;
-            // Per-cell conservation gate: every packet a cell offered must
-            // have resolved to a delivery or an attributed drop before the
-            // cell folds into the campaign total. Trivially satisfied (all
-            // zeros) in a telemetry-off build.
-            agg.lifecycle.audit()?;
             Ok(agg)
         })?;
         let mut total = CampaignAggregate::new();
@@ -269,7 +204,8 @@ impl Network {
     }
 
     /// The report-materializing counterpart of
-    /// [`run_sharded_mac`](Self::run_sharded_mac): every cell runs the same
+    /// [`run_sharded_mac_relay`](Self::run_sharded_mac_relay) under an
+    /// instantaneous AP with relaying disabled: every cell runs the same
     /// seeding/partition/scheduling, but returns its full per-node
     /// [`SlottedRunReport`] (node indices cell-local). O(nodes) memory —
     /// for tests and room-scale use; the parity suite uses it to prove a
@@ -430,9 +366,18 @@ mod tests {
         let payload = [0x42u8; 8];
         let plan = plan_for(&net, 4, &payload);
         let run = |threads: usize| {
-            net.run_sharded_mac(3, threads, 0xBEEF, 4, &payload, &plan, 20.0, |_, s| {
-                Box::new(SlottedAloha::new(s))
-            })
+            net.run_sharded_mac_relay(
+                3,
+                threads,
+                0xBEEF,
+                4,
+                &payload,
+                &plan,
+                20.0,
+                &ApServiceConfig::instantaneous(),
+                &RelayConfig::disabled(),
+                |_, s| Box::new(SlottedAloha::new(s)),
+            )
             .unwrap()
         };
         let baseline = run(1);
@@ -453,7 +398,18 @@ mod tests {
         let plan = plan_for(&net, 4, &payload);
         let factory = |_: usize, s: u64| Box::new(SlottedAloha::new(s)) as Box<dyn MacPolicy>;
         let streamed = net
-            .run_sharded_mac(4, 2, 0xA66, 3, &payload, &plan, 20.0, factory)
+            .run_sharded_mac_relay(
+                4,
+                2,
+                0xA66,
+                3,
+                &payload,
+                &plan,
+                20.0,
+                &ApServiceConfig::instantaneous(),
+                &RelayConfig::disabled(),
+                factory,
+            )
             .unwrap();
         let reports = net
             .run_sharded_mac_reports(4, 2, 0xA66, 3, &payload, &plan, 20.0, factory)
@@ -477,11 +433,11 @@ mod tests {
         let net = Network::new(SystemConfig::milback_default(), arc_scene(9)).unwrap();
         let payload = [0x42u8; 8];
         let plan = plan_for(&net, 4, &payload);
-        let service = crate::pipeline::ApServiceConfig::instantaneous()
+        let service = ApServiceConfig::instantaneous()
             .with_stage_latencies(3 * plan.slot_ps, 0, 0)
             .with_queue(0, crate::pipeline::OverflowPolicy::Defer);
         let run = |threads: usize| {
-            net.run_sharded_mac_service(
+            net.run_sharded_mac_relay(
                 3,
                 threads,
                 0xBEEF,
@@ -490,6 +446,7 @@ mod tests {
                 &plan,
                 20.0,
                 &service,
+                &RelayConfig::disabled(),
                 |_, s| Box::new(SlottedAloha::new(s)),
             )
             .unwrap()
@@ -503,9 +460,18 @@ mod tests {
             assert_eq!(run(threads), deferred, "{threads} threads");
         }
         let instant = net
-            .run_sharded_mac(3, 1, 0xBEEF, 4, &payload, &plan, 20.0, |_, s| {
-                Box::new(SlottedAloha::new(s))
-            })
+            .run_sharded_mac_relay(
+                3,
+                1,
+                0xBEEF,
+                4,
+                &payload,
+                &plan,
+                20.0,
+                &ApServiceConfig::instantaneous(),
+                &RelayConfig::disabled(),
+                |_, s| Box::new(SlottedAloha::new(s)),
+            )
             .unwrap();
         assert_eq!(instant.service.deferred, 0);
         assert_eq!(deferred.attempts, instant.attempts);
@@ -521,9 +487,18 @@ mod tests {
         let run = |n: usize| {
             let net = Network::new(SystemConfig::milback_default(), arc_scene(n)).unwrap();
             let plan = plan_for(&net, 4, &payload);
-            net.run_sharded_mac(2, 2, 7, 2, &payload, &plan, 20.0, |_, s| {
-                Box::new(SlottedAloha::new(s))
-            })
+            net.run_sharded_mac_relay(
+                2,
+                2,
+                7,
+                2,
+                &payload,
+                &plan,
+                20.0,
+                &ApServiceConfig::instantaneous(),
+                &RelayConfig::disabled(),
+                |_, s| Box::new(SlottedAloha::new(s)),
+            )
             .unwrap()
         };
         let small = run(4);
@@ -537,9 +512,18 @@ mod tests {
         let net = Network::new(SystemConfig::milback_default(), arc_scene(4)).unwrap();
         let small = [0u8; 2];
         let plan = plan_for(&net, 2, &small);
-        let err = net.run_sharded_mac(2, 1, 1, 1, &[0u8; 4096], &plan, 20.0, |_, s| {
-            Box::new(SlottedAloha::new(s))
-        });
+        let err = net.run_sharded_mac_relay(
+            2,
+            1,
+            1,
+            1,
+            &[0u8; 4096],
+            &plan,
+            20.0,
+            &ApServiceConfig::instantaneous(),
+            &RelayConfig::disabled(),
+            |_, s| Box::new(SlottedAloha::new(s)),
+        );
         assert!(err.is_err());
     }
 }

@@ -91,13 +91,14 @@ fn disabled_relay_is_bit_exact_with_run_mac() {
         )
         .unwrap();
     let relayed = n
-        .run_mac_relay(
+        .run_mac_relay_service(
             Box::new(SlottedAloha::new(SLOT_SEED)),
             FRAMES,
             &PAYLOAD,
             &plan,
             20.0,
             &mut rng_b,
+            &ApServiceConfig::instantaneous(),
             &RelayConfig::disabled(),
         )
         .unwrap();
@@ -131,13 +132,14 @@ fn disabled_relay_aware_policy_matches_plain_aloha() {
         )
         .unwrap();
     let relay_aware = n
-        .run_mac_relay(
+        .run_mac_relay_service(
             Box::new(RelayAwareMac::new(SLOT_SEED, RelayConfig::disabled())),
             FRAMES,
             &PAYLOAD,
             &plan,
             20.0,
             &mut rng_b,
+            &ApServiceConfig::instantaneous(),
             &RelayConfig::disabled(),
         )
         .unwrap();
@@ -165,24 +167,9 @@ fn sharded_disabled_relay_is_thread_count_invariant() {
         .unwrap()
     };
     let reference = run(1);
-    for threads in [2, 4, 8] {
+    for threads in [2, 3, 4, 8] {
         assert_agg_bit_exact(&reference, &run(threads));
     }
-    // Also bit-exact with the pre-relay sharded entry point.
-    let legacy = n
-        .run_sharded_mac_service(
-            4,
-            3,
-            SEED,
-            FRAMES,
-            &PAYLOAD,
-            &plan,
-            20.0,
-            &service,
-            |_, s| Box::new(SlottedAloha::new(s)) as Box<dyn MacPolicy>,
-        )
-        .unwrap();
-    assert_agg_bit_exact(&reference, &legacy);
 }
 
 #[test]
@@ -220,13 +207,14 @@ fn relaying_recovers_gap_delivery_with_the_hop_budget() {
     let run = |max_hops: usize| {
         let relay = gapped_relay(max_hops);
         let mut rng = GaussianSource::new(SEED);
-        n.run_mac_relay(
+        n.run_mac_relay_service(
             Box::new(RelayAwareMac::new(SLOT_SEED, relay)),
             FRAMES,
             &PAYLOAD,
             &plan,
             20.0,
             &mut rng,
+            &ApServiceConfig::instantaneous(),
             &relay,
         )
         .unwrap()
@@ -264,13 +252,14 @@ fn routeless_gap_node_stays_in_the_denominators() {
     let relay = gapped_relay(4);
     let mut rng = GaussianSource::new(SEED);
     let report = n
-        .run_mac_relay(
+        .run_mac_relay_service(
             Box::new(RelayAwareMac::new(SLOT_SEED, relay)),
             FRAMES,
             &PAYLOAD,
             &plan,
             20.0,
             &mut rng,
+            &ApServiceConfig::instantaneous(),
             &relay,
         )
         .unwrap();

@@ -41,35 +41,39 @@
 #      with ordered latency percentiles (p50 ≤ p95 ≤ p99), the reduced
 #      METRICS_lifecycle.json must validate cell-by-cell, and the
 #      full-scale anchors are regenerated at the end
+#  17. the benchmark harness (perfbench/, its own Cargo workspace with path
+#      dependencies on crates/*) passes its self-test against the current
+#      library API, and neither perfbench/ (its Cargo.lock included) nor
+#      BENCHMARK.json is left modified
 #
 # Usage: scripts/ci.sh          (from anywhere; cd's to the repo root)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> [1/16] cargo fmt --check"
+echo "==> [1/17] cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> [2/16] cargo build --release --workspace --all-targets"
+echo "==> [2/17] cargo build --release --workspace --all-targets"
 cargo build --release --workspace --all-targets
 # The node core must stay portable to an MCU: firmware/mode/power compile
 # without std (the sim-facing modules are std-gated behind the default
 # feature).
 cargo build --release -p milback-node --no-default-features
 
-echo "==> [3/16] cargo test --release --workspace"
+echo "==> [3/17] cargo test --release --workspace"
 cargo test --release --workspace -q
 
-echo "==> [4/16] cargo clippy --release --workspace --all-targets -- -D warnings"
+echo "==> [4/17] cargo clippy --release --workspace --all-targets -- -D warnings"
 cargo clippy --release --workspace --all-targets -- -D warnings
 
-echo "==> [5/16] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
+echo "==> [5/17] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> [6/16] bench_smoke (writes results/BENCH_dsp.json + BENCH_experiments.json)"
+echo "==> [6/17] bench_smoke (writes results/BENCH_dsp.json + BENCH_experiments.json)"
 cargo run --release -p milback-bench --bin bench_smoke
 
-echo "==> [7/16] validating benchmark JSONs"
+echo "==> [7/17] validating benchmark JSONs"
 JSON=results/BENCH_dsp.json
 EXP_JSON=results/BENCH_experiments.json
 [ -s "$JSON" ] || { echo "FAIL: $JSON missing or empty" >&2; exit 1; }
@@ -153,14 +157,14 @@ else
     echo "OK: benchmark JSONs carry schema markers (python3 unavailable, shallow check)"
 fi
 
-echo "==> [8/16] reduced-mode figure run (MILBACK_REDUCED=1 fig12a_ranging)"
+echo "==> [8/17] reduced-mode figure run (MILBACK_REDUCED=1 fig12a_ranging)"
 CSV=results/figure_12a.csv
 before=$(sha256sum "$CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin fig12a_ranging
 after=$(sha256sum "$CSV" 2>/dev/null || echo absent)
 [ "$before" = "$after" ] || { echo "FAIL: reduced mode overwrote $CSV" >&2; exit 1; }
 
-echo "==> [9/16] net_scale extension (reduced run + full-scale CSV anchor)"
+echo "==> [9/17] net_scale extension (reduced run + full-scale CSV anchor)"
 NET_CSV=results/extension_net_scale.csv
 before=$(sha256sum "$NET_CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin net_scale
@@ -175,7 +179,7 @@ esac
 rows=$(($(wc -l < "$NET_CSV") - 1))
 [ "$rows" -ge 7 ] || { echo "FAIL: $NET_CSV has $rows data rows, expected the 1..64 sweep (7)" >&2; exit 1; }
 
-echo "==> [10/16] mac_compare extension (reduced run + full-scale CSV anchor schema)"
+echo "==> [10/17] mac_compare extension (reduced run + full-scale CSV anchor schema)"
 MAC_CSV=results/extension_mac_compare.csv
 before=$(sha256sum "$MAC_CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin mac_compare
@@ -210,7 +214,7 @@ awk -F, 'NR==1 { next } { last=$0 } END {
     }
 }' "$MAC_CSV"
 
-echo "==> [11/16] instrumented campaign (MILBACK_TRACE) + telemetry artifact schemas"
+echo "==> [11/17] instrumented campaign (MILBACK_TRACE) + telemetry artifact schemas"
 TRACE_DIR=$(mktemp -d)
 METRICS=results/METRICS_mac.json
 rm -f "$METRICS"
@@ -284,7 +288,7 @@ else
 fi
 rm -rf "$TRACE_DIR"
 
-echo "==> [12/16] telemetry-off build (--no-default-features) passes the anchor gates"
+echo "==> [12/17] telemetry-off build (--no-default-features) passes the anchor gates"
 cargo test --release -p milback-bench --no-default-features -q
 cargo build --release -p milback-bench --no-default-features
 rm -f "$METRICS"
@@ -301,7 +305,7 @@ cargo build --release -p milback-bench --all-targets
 ./target/release/mac_compare >/dev/null
 grep -q '"reduced": false' "$METRICS" || { echo "FAIL: regenerated $METRICS is not full-scale" >&2; exit 1; }
 
-echo "==> [13/16] net_scale_city sharded sweep (reduced run + full-scale CSV anchor)"
+echo "==> [13/17] net_scale_city sharded sweep (reduced run + full-scale CSV anchor)"
 CITY_CSV=results/extension_net_scale_city.csv
 before=$(sha256sum "$CITY_CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin net_scale_city
@@ -335,7 +339,7 @@ awk -F, 'NR==1 { next } {
     }
 }' "$CITY_CSV"
 
-echo "==> [14/16] net_load offered-vs-served sweep (reduced run + full-scale CSV anchor)"
+echo "==> [14/17] net_load offered-vs-served sweep (reduced run + full-scale CSV anchor)"
 LOAD_CSV=results/extension_net_load.csv
 LOAD_WANT="overflow,nodes,offered,served,dropped,deferred,degraded,offered_per_s,served_per_s,delivered,delivery_rate"
 # Shared gate for the reduced CSV and the full-scale anchor: exact schema,
@@ -375,7 +379,7 @@ check_load_csv "$REDUCED_CSV"
 check_load_csv "$LOAD_CSV"
 rm -f "$LOAD_OUT" "$REDUCED_CSV"
 
-echo "==> [15/16] net_relay multi-hop recovery sweep (reduced run + full-scale CSV anchor)"
+echo "==> [15/17] net_relay multi-hop recovery sweep (reduced run + full-scale CSV anchor)"
 RELAY_CSV=results/extension_net_relay.csv
 RELAY_WANT="gap_fraction,max_hops,nodes,gap_nodes,attempts,delivered,delivery_rate,gap_attempts,gap_delivered,gap_delivery_rate,relayed,forwarded,mean_relay_hops,relay_energy_per_delivered_j,mean_relay_latency_s"
 # Shared gate for the reduced CSV and the full-scale anchor: exact schema,
@@ -420,7 +424,7 @@ check_relay_csv "$REDUCED_RELAY_CSV"
 check_relay_csv "$RELAY_CSV"
 rm -f "$RELAY_OUT" "$REDUCED_RELAY_CSV"
 
-echo "==> [16/16] net_audit packet-lifecycle sweep (conservation + percentile gates)"
+echo "==> [16/17] net_audit packet-lifecycle sweep (conservation + percentile gates)"
 AUDIT_CSV=results/extension_net_audit.csv
 LIFECYCLE=results/METRICS_lifecycle.json
 AUDIT_WANT="policy,relay,nodes,offered,delivered_direct,delivered_relayed,contention_collision,sdm_inseparable,service_shed,no_relay_route,hop_budget_exhausted,decode_failure,never_scheduled,slot_wait_p50_us,slot_wait_p95_us,slot_wait_p99_us,residence_p50_us,residence_p95_us,residence_p99_us,relay_extra_p50_us,relay_extra_p95_us,relay_extra_p99_us"
@@ -505,5 +509,9 @@ fi
 # METRICS_mac.json.
 ./target/release/net_audit >/dev/null
 grep -q '"reduced": false' "$LIFECYCLE" || { echo "FAIL: regenerated $LIFECYCLE is not full-scale" >&2; exit 1; }
+
+echo "==> [17/17] benchmark harness self-test (perfbench) + benchmark files unchanged"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+git diff --exit-code perfbench BENCHMARK.json
 
 echo "==> ci.sh: all gates passed"
