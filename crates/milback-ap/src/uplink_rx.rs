@@ -10,7 +10,6 @@
 //! link quality.
 
 use mmwave_sigproc::detect::{integrate_and_dump, midpoint_threshold};
-use mmwave_sigproc::stats::{bit_error_rate, mean};
 use mmwave_sigproc::waveform::OaqfmSymbol;
 use serde::{Deserialize, Serialize};
 
@@ -142,6 +141,11 @@ pub struct UplinkQuality {
 /// one channel: separates the on/off populations and compares the level
 /// separation to the within-population spread.
 ///
+/// Each population's mean and unbiased variance run the
+/// [`mean`](mmwave_sigproc::stats::mean)/[`variance`](mmwave_sigproc::stats::variance) folds in the
+/// same order over a filtered iterator instead of a collected copy, so
+/// the result is bit-identical to calling them on the populations.
+///
 /// # Panics
 /// Panics if the lengths differ or either population is empty.
 pub fn measure_channel_snr_db(symbol_stats: &[f64], tx_bits: &[bool]) -> f64 {
@@ -150,42 +154,50 @@ pub fn measure_channel_snr_db(symbol_stats: &[f64], tx_bits: &[bool]) -> f64 {
         tx_bits.len(),
         "stats/bits length mismatch"
     );
-    let on: Vec<f64> = symbol_stats
-        .iter()
-        .zip(tx_bits)
-        .filter(|(_, &b)| b)
-        .map(|(&v, _)| v)
-        .collect();
-    let off: Vec<f64> = symbol_stats
-        .iter()
-        .zip(tx_bits)
-        .filter(|(_, &b)| !b)
-        .map(|(&v, _)| v)
-        .collect();
-    assert!(
-        !on.is_empty() && !off.is_empty(),
-        "need both symbol populations"
-    );
-    let swing = (mean(&on) - mean(&off)) / 2.0;
-    let var_on = if on.len() > 1 {
-        mmwave_sigproc::stats::variance(&on)
-    } else {
-        0.0
+    // (count, mean, variance) of the symbols sent at `level`; the
+    // variance of a single sample is taken as 0.
+    let population = |level: bool| {
+        let values = || {
+            symbol_stats
+                .iter()
+                .zip(tx_bits)
+                .filter(move |(_, &b)| b == level)
+                .map(|(&v, _)| v)
+        };
+        let n = tx_bits.iter().filter(|&&b| b == level).count();
+        let m = values().sum::<f64>() / n as f64;
+        let var = if n > 1 {
+            values().map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64
+        } else {
+            0.0
+        };
+        (n, m, var)
     };
-    let var_off = if off.len() > 1 {
-        mmwave_sigproc::stats::variance(&off)
-    } else {
-        0.0
-    };
+    let (n_on, mean_on, var_on) = population(true);
+    let (n_off, mean_off, var_off) = population(false);
+    assert!(n_on > 0 && n_off > 0, "need both symbol populations");
+    let swing = (mean_on - mean_off) / 2.0;
     let noise = ((var_on + var_off) / 2.0).max(1e-300);
     10.0 * (swing * swing / noise).log10()
 }
 
-/// Compares decided symbols against transmitted symbols bit-by-bit.
+/// Compares decided symbols against transmitted symbols bit-by-bit: the
+/// [`bit_error_rate`](mmwave_sigproc::stats::bit_error_rate) of the
+/// flattened `[tone_a, tone_b]` streams, counted without building them.
+///
+/// # Panics
+/// Panics if non-empty symbol streams differ in length.
 pub fn symbol_ber(tx: &[OaqfmSymbol], rx: &[OaqfmSymbol]) -> f64 {
-    let tx_bits: Vec<bool> = tx.iter().flat_map(|s| [s.tone_a, s.tone_b]).collect();
-    let rx_bits: Vec<bool> = rx.iter().flat_map(|s| [s.tone_a, s.tone_b]).collect();
-    bit_error_rate(&tx_bits, &rx_bits)
+    if tx.is_empty() {
+        return f64::NAN;
+    }
+    assert_eq!(tx.len(), rx.len(), "bit streams differ in length");
+    let errors: usize = tx
+        .iter()
+        .zip(rx)
+        .map(|(t, r)| usize::from(t.tone_a != r.tone_a) + usize::from(t.tone_b != r.tone_b))
+        .sum();
+    errors as f64 / (2 * tx.len()) as f64
 }
 
 #[cfg(test)]

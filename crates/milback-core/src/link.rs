@@ -22,6 +22,7 @@ use milback_ap::query::QueryPlanner;
 use milback_ap::uplink_rx::{measure_channel_snr_db, symbol_ber, UplinkReceiver};
 use milback_ap::waveform::CarrierSet;
 use milback_node::downlink::{OaqfmDemodulator, SinrReport};
+use milback_node::mode::PortMode;
 use milback_node::node::PortPowers;
 use milback_node::uplink::UplinkModulator;
 use mmwave_rf::antenna::fsa::{FsaGainEval, FsaPort};
@@ -29,7 +30,7 @@ use mmwave_rf::channel::received_power_w;
 use mmwave_sigproc::random::GaussianSource;
 use mmwave_sigproc::stats::q_function;
 use mmwave_sigproc::units::{db_to_lin, dbm_to_watts, watts_to_dbm};
-use mmwave_sigproc::waveform::{bytes_to_symbols, symbols_to_bytes};
+use mmwave_sigproc::waveform::{bytes_to_symbols, symbols_to_bytes, OaqfmSymbol};
 use serde::{Deserialize, Serialize};
 
 /// Result of a downlink transfer.
@@ -67,6 +68,34 @@ pub struct UplinkOutcome {
     pub snr_db: f64,
     /// The analytic (budget) SNR the simulation was anchored to, dB.
     pub analytic_snr_db: f64,
+}
+
+/// One uplink channel's static budget: its analytic SNR and the port's
+/// reflection amplitude in each switch state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChannelBudget {
+    /// Analytic channel SNR, dB
+    /// ([`LinkSimulator::uplink_channel_snr_db`]).
+    pub snr_db: f64,
+    /// The same SNR, linear.
+    pub snr_lin: f64,
+    /// Reflection amplitude in the reflective state (tone present).
+    pub reflective: f64,
+    /// Reflection amplitude in the absorptive state (tone absent).
+    pub absorptive: f64,
+}
+
+/// The payload-independent part of a symbol-level uplink
+/// ([`LinkSimulator::uplink_budget`]): scalars only, so a campaign can
+/// keep one per node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UplinkBudget {
+    /// The carriers the AP planned for the node.
+    pub carriers: CarrierSet,
+    /// Channel A (port A, carrier `f_a`).
+    pub a: ChannelBudget,
+    /// Channel B (port B, carrier `f_b`).
+    pub b: ChannelBudget,
 }
 
 /// The end-to-end link simulator for one scene.
@@ -396,6 +425,40 @@ impl LinkSimulator {
             .snr_db(signal_dbm, self.config.uplink_bit_rate_hz())
     }
 
+    /// The static half of a symbol-level uplink: the planned carriers and
+    /// both channels' analytic SNR and reflection levels, after the
+    /// modulator's switch-rate check. Nothing in it depends on the payload
+    /// or the noise stream, so a campaign computes it once per node and
+    /// hands it to [`uplink_symbols`](Self::uplink_symbols) for every
+    /// packet that node sends.
+    pub fn uplink_budget(&self) -> Result<UplinkBudget> {
+        let carriers = self.plan_carriers(None)?;
+        let (f_a, f_b) = match carriers {
+            CarrierSet::TwoTone { f_a, f_b } => (f_a, f_b),
+            CarrierSet::SingleToneOok { f } => (f, f),
+        };
+        UplinkModulator::new(
+            self.config.uplink_symbol_rate_hz,
+            &self.config.node.switch_a,
+        )
+        .map_err(MilbackError::UplinkTx)?;
+        let node = &self.config.node;
+        let channel = |port: FsaPort, freq: f64| {
+            let snr_db = self.uplink_channel_snr_db(freq, port);
+            ChannelBudget {
+                snr_db,
+                snr_lin: db_to_lin(snr_db),
+                reflective: node.reflection_amplitude(port, PortMode::Reflective),
+                absorptive: node.reflection_amplitude(port, PortMode::Absorptive),
+            }
+        };
+        Ok(UplinkBudget {
+            carriers,
+            a: channel(FsaPort::A, f_a),
+            b: channel(FsaPort::B, f_b),
+        })
+    }
+
     /// Runs a waveform-level uplink transfer: the node's switching
     /// waveform is synthesized at the digitizer rate (including the SPDT's
     /// finite settling transitions), the AP's post-mixer baseband noise is
@@ -404,66 +467,50 @@ impl LinkSimulator {
     ///
     /// Slower than [`uplink`](Self::uplink) but exercises the transition-
     /// shaping and oversampled-decision path; the two agree on BER within
-    /// Monte-Carlo error (see tests).
+    /// Monte-Carlo error (see tests). Fewer than two samples per symbol is
+    /// a [`MilbackError::Config`]: the settling ramp needs oversampling.
     pub fn uplink_waveform(
         &self,
         payload: &[u8],
         samples_per_symbol: usize,
         rng: &mut GaussianSource,
     ) -> Result<UplinkOutcome> {
-        assert!(samples_per_symbol >= 2, "waveform path needs oversampling");
-        let carriers = self.plan_carriers(None)?;
-        let (f_a, f_b) = match carriers {
-            CarrierSet::TwoTone { f_a, f_b } => (f_a, f_b),
-            CarrierSet::SingleToneOok { f } => (f, f),
-        };
-        let modulator = UplinkModulator::new(
-            self.config.uplink_symbol_rate_hz,
-            &self.config.node.switch_a,
-        )
-        .map_err(MilbackError::UplinkTx)?;
+        if samples_per_symbol < 2 {
+            return Err(MilbackError::Config(format!(
+                "the waveform uplink needs at least 2 samples per symbol, got {samples_per_symbol}"
+            )));
+        }
+        let budget = self.uplink_budget()?;
         let symbols = bytes_to_symbols(payload);
-        let schedule = modulator.schedule_for_symbols(&symbols);
-        let node = &self.config.node;
         // Switch settling: one sample of linear transition per boundary.
-        let mk_trace = |port: FsaPort, freq: f64, rng: &mut GaussianSource| -> Vec<f64> {
-            let snr_lin = db_to_lin(self.uplink_channel_snr_db(freq, port));
-            let hi = node.reflection_amplitude(port, milback_node::mode::PortMode::Reflective);
-            let lo = node.reflection_amplitude(port, milback_node::mode::PortMode::Absorptive);
-            let swing_half = (hi - lo) / 2.0;
-            // Per-sample noise such that the post-integration (mean over
-            // sps samples) noise matches the analytic symbol-level σ.
-            let sigma_sym = swing_half / snr_lin.sqrt();
-            let sigma_sample = sigma_sym * (samples_per_symbol as f64).sqrt();
-            let mut trace = Vec::with_capacity(schedule.len() * samples_per_symbol);
-            let mut prev = lo;
-            for st in &schedule {
-                let mode = match port {
-                    FsaPort::A => st.a,
-                    FsaPort::B => st.b,
-                };
-                let level = match mode {
-                    milback_node::mode::PortMode::Reflective => hi,
-                    milback_node::mode::PortMode::Absorptive => lo,
-                };
-                for i in 0..samples_per_symbol {
-                    // First sample of each symbol ramps from the previous
-                    // level (switch settling ≤ one sample at these rates).
-                    let v = if i == 0 { (prev + level) / 2.0 } else { level };
-                    trace.push(v + rng.sample(sigma_sample));
+        let mk_trace =
+            |ch: &ChannelBudget, tone: fn(&OaqfmSymbol) -> bool, rng: &mut GaussianSource| {
+                let (hi, lo) = (ch.reflective, ch.absorptive);
+                let swing_half = (hi - lo) / 2.0;
+                // Per-sample noise such that the post-integration (mean over
+                // sps samples) noise matches the analytic symbol-level σ.
+                let sigma_sym = swing_half / ch.snr_lin.sqrt();
+                let sigma_sample = sigma_sym * (samples_per_symbol as f64).sqrt();
+                let mut trace = Vec::with_capacity(symbols.len() * samples_per_symbol);
+                let mut prev = lo;
+                for s in &symbols {
+                    let level = if tone(s) { hi } else { lo };
+                    for i in 0..samples_per_symbol {
+                        // First sample of each symbol ramps from the previous
+                        // level (switch settling ≤ one sample at these rates).
+                        let v = if i == 0 { (prev + level) / 2.0 } else { level };
+                        trace.push(v + rng.sample(sigma_sample));
+                    }
+                    prev = level;
                 }
-                prev = level;
-            }
-            trace
-        };
-        let ta = mk_trace(FsaPort::A, f_a, rng);
-        let tb = mk_trace(FsaPort::B, f_b, rng);
+                trace
+            };
+        let ta = mk_trace(&budget.a, |s| s.tone_a, rng);
+        let tb = mk_trace(&budget.b, |s| s.tone_b, rng);
         let receiver = UplinkReceiver::new(samples_per_symbol);
         let decided = receiver.decide(&ta, &tb).map_err(MilbackError::UplinkRx)?;
         let ber = symbol_ber(&symbols, &decided);
-        let analytic_db = (self.uplink_channel_snr_db(f_a, FsaPort::A)
-            + self.uplink_channel_snr_db(f_b, FsaPort::B))
-            / 2.0;
+        let analytic_db = (budget.a.snr_db + budget.b.snr_db) / 2.0;
         Ok(UplinkOutcome {
             decoded: symbols_to_bytes(&decided),
             ber,
@@ -472,56 +519,46 @@ impl LinkSimulator {
         })
     }
 
-    /// Runs a symbol-level Monte-Carlo uplink transfer of `payload`.
+    /// Runs a symbol-level Monte-Carlo uplink transfer of `payload`: the
+    /// node's [`uplink_budget`](Self::uplink_budget), then
+    /// [`uplink_symbols`](Self::uplink_symbols).
     pub fn uplink(&self, payload: &[u8], rng: &mut GaussianSource) -> Result<UplinkOutcome> {
-        let carriers = self.plan_carriers(None)?;
+        Self::uplink_symbols(&self.uplink_budget()?, payload, rng)
+    }
+
+    /// The per-packet half of a symbol-level uplink: draws each channel's
+    /// symbol statistics (reflection level per switch state plus AWGN
+    /// anchored to the budget's SNR, channel A then channel B), decides
+    /// them and measures the SNR. The one symbol core behind every
+    /// symbol-level uplink — `inline(never)` so no caller gets its own
+    /// differently-optimized copy. An empty payload transfers nothing and
+    /// reports channel A's analytic SNR.
+    #[inline(never)]
+    pub fn uplink_symbols(
+        budget: &UplinkBudget,
+        payload: &[u8],
+        rng: &mut GaussianSource,
+    ) -> Result<UplinkOutcome> {
         if payload.is_empty() {
-            let snr = self.uplink_analytic_snr_db()?;
             return Ok(UplinkOutcome {
                 decoded: Vec::new(),
                 ber: 0.0,
-                snr_db: snr,
-                analytic_snr_db: snr,
+                snr_db: budget.a.snr_db,
+                analytic_snr_db: budget.a.snr_db,
             });
         }
-        let (f_a, f_b) = match carriers {
-            CarrierSet::TwoTone { f_a, f_b } => (f_a, f_b),
-            CarrierSet::SingleToneOok { f } => (f, f),
-        };
-        let modulator = UplinkModulator::new(
-            self.config.uplink_symbol_rate_hz,
-            &self.config.node.switch_a,
-        )
-        .map_err(MilbackError::UplinkTx)?;
         let symbols = bytes_to_symbols(payload);
-        let schedule = modulator.schedule_for_symbols(&symbols);
-        // Per-channel symbol statistics: level per state + AWGN anchored to
-        // the analytic channel SNR.
-        let snr_a = db_to_lin(self.uplink_channel_snr_db(f_a, FsaPort::A));
-        let snr_b = db_to_lin(self.uplink_channel_snr_db(f_b, FsaPort::B));
-        let node = &self.config.node;
-        let mk_channel = |port: FsaPort, snr_lin: f64, rng: &mut GaussianSource| -> Vec<f64> {
-            let hi = node.reflection_amplitude(port, milback_node::mode::PortMode::Reflective);
-            let lo = node.reflection_amplitude(port, milback_node::mode::PortMode::Absorptive);
-            let swing_half = (hi - lo) / 2.0;
-            let sigma = swing_half / snr_lin.sqrt();
-            schedule
-                .iter()
-                .map(|st| {
-                    let mode = match port {
-                        FsaPort::A => st.a,
-                        FsaPort::B => st.b,
-                    };
-                    let level = match mode {
-                        milback_node::mode::PortMode::Reflective => hi,
-                        milback_node::mode::PortMode::Absorptive => lo,
-                    };
-                    level + rng.sample(sigma)
-                })
-                .collect()
+        let bits_a: Vec<bool> = symbols.iter().map(|s| s.tone_a).collect();
+        let bits_b: Vec<bool> = symbols.iter().map(|s| s.tone_b).collect();
+        let mk_channel = |ch: &ChannelBudget, bits: &[bool], rng: &mut GaussianSource| {
+            let swing_half = (ch.reflective - ch.absorptive) / 2.0;
+            let sigma = swing_half / ch.snr_lin.sqrt();
+            bits.iter()
+                .map(|&on| if on { ch.reflective } else { ch.absorptive } + rng.sample(sigma))
+                .collect::<Vec<f64>>()
         };
-        let stats_a = mk_channel(FsaPort::A, snr_a, rng);
-        let stats_b = mk_channel(FsaPort::B, snr_b, rng);
+        let stats_a = mk_channel(&budget.a, &bits_a, rng);
+        let stats_b = mk_channel(&budget.b, &bits_b, rng);
         let receiver = UplinkReceiver::new(1);
         let decided = receiver
             .decide(&stats_a, &stats_b)
@@ -530,9 +567,7 @@ impl LinkSimulator {
         // Measured SNR from the symbol populations. A channel whose payload
         // happens to contain only one level cannot be measured; fall back
         // to the channels that can (and to the analytic figure if neither).
-        let bits_a: Vec<bool> = symbols.iter().map(|s| s.tone_a).collect();
-        let bits_b: Vec<bool> = symbols.iter().map(|s| s.tone_b).collect();
-        let analytic_db = 10.0 * ((snr_a + snr_b) / 2.0).log10();
+        let analytic_db = 10.0 * ((budget.a.snr_lin + budget.b.snr_lin) / 2.0).log10();
         let mut channel_snrs = Vec::with_capacity(2);
         for (stats, bits) in [(&stats_a, &bits_a), (&stats_b, &bits_b)] {
             let has_both = bits.iter().any(|&b| b) && bits.iter().any(|&b| !b);
@@ -806,6 +841,41 @@ mod tests {
         let out = s.uplink_waveform(&payload, 8, &mut rng).unwrap();
         assert_eq!(out.decoded, payload);
         assert_eq!(out.ber, 0.0);
+    }
+
+    #[test]
+    fn waveform_uplink_rejects_undersampling() {
+        let s = sim(3.0, 12.0);
+        for sps in [0, 1] {
+            let mut rng = GaussianSource::new(33);
+            match s.uplink_waveform(&[0x42], sps, &mut rng) {
+                Err(MilbackError::Config(msg)) => assert!(msg.contains("samples per symbol")),
+                other => panic!("sps {sps}: expected a Config error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn uplink_is_budget_then_symbol_core() {
+        // The campaign path (a stored budget + the symbol core) and the
+        // one-shot `uplink` draw the same stream and agree bit for bit.
+        let s = sim(6.0, 12.0);
+        let budget = s.uplink_budget().unwrap();
+        let payload = [0x5A, 0xC3, 0x0F, 0x99];
+        let mut rng = GaussianSource::new(34);
+        let one_shot = s.uplink(&payload, &mut rng).unwrap();
+        let mut rng = GaussianSource::new(34);
+        let cored = LinkSimulator::uplink_symbols(&budget, &payload, &mut rng).unwrap();
+        assert_eq!(one_shot, cored);
+        assert_eq!(one_shot.snr_db.to_bits(), cored.snr_db.to_bits());
+        assert_eq!(
+            budget.a.snr_db.to_bits(),
+            s.uplink_analytic_snr_db().unwrap().to_bits()
+        );
+        // An empty payload reports channel A's analytic SNR, as before.
+        let empty = LinkSimulator::uplink_symbols(&budget, &[], &mut rng).unwrap();
+        assert!(empty.decoded.is_empty());
+        assert_eq!(empty.snr_db.to_bits(), budget.a.snr_db.to_bits());
     }
 
     #[test]

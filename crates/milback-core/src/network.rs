@@ -7,7 +7,7 @@ use crate::config::SystemConfig;
 use crate::engine::{ps_to_secs, Actor, ActorId, Engine, Outbox, TimePs};
 use crate::error::{MilbackError, Result};
 use crate::lifecycle::{DropReason, LifecycleStats, PacketId};
-use crate::link::{LinkSimulator, UplinkOutcome};
+use crate::link::{LinkSimulator, UplinkBudget, UplinkOutcome};
 use crate::pipeline::{ApServiceConfig, ApServiceStats, OverflowPolicy, StageKind};
 use crate::protocol::{Packet, SlotPlan};
 use crate::relay::RelayConfig;
@@ -74,14 +74,17 @@ impl Network {
     /// pattern steered at each node.
     pub fn sdm_margin_db(&self, idx: usize, other: usize) -> f64 {
         assert!(idx != other, "a node does not interfere with itself");
-        let gt_i = self.scene.ground_truth(idx);
-        let gt_o = self.scene.ground_truth(other);
+        // Only the two azimuths matter: the `azimuth_to` that
+        // `Scene::ground_truth` runs, without its range and incidence.
+        let ap = &self.scene.ap;
+        let azimuth_i = ap.azimuth_to(self.scene.nodes[idx].position);
+        let azimuth_o = ap.azimuth_to(self.scene.nodes[other].position);
         let horn = mmwave_rf::antenna::Horn::miwave_20dbi();
         // Beam steered at node idx: gain toward it is the boresight gain.
         let wanted = horn.gain_dbi(28e9, 0.0);
         // Beam steered at the other node: off-axis gain toward node idx is
         // evaluated at their angular separation.
-        let separation = (gt_i.azimuth_rad - gt_o.azimuth_rad).abs();
+        let separation = (azimuth_i - azimuth_o).abs();
         let leak = horn.gain_dbi(28e9, separation);
         wanted - leak
     }
@@ -574,6 +577,7 @@ impl Network {
             forwarded: recycle(&mut scratch.forwarded, n, 0),
             relay_energy_j: recycle(&mut scratch.relay_energy_j, n, 0.0),
             relay_latency_s: recycle(&mut scratch.relay_latency_s, n, 0.0),
+            budgets: recycle(&mut scratch.budgets, n, None),
             gap_reason: Vec::new(),
             lifecycle: LifecycleStats::new(),
             probe: CampaignProbe::disabled(),
@@ -1111,9 +1115,9 @@ impl Default for CampaignAggregate {
 }
 
 /// Reusable per-worker ledger buffers for campaign runs: the per-node
-/// ledger vectors every campaign's engine medium needs, recycled across a
-/// sharded worker's cells instead of reallocated per cell (a report-path
-/// run passes a fresh scratch). Contents are
+/// ledger vectors and uplink-budget table every campaign's engine medium
+/// needs, recycled across a sharded worker's cells instead of reallocated
+/// per cell (a report-path run passes a fresh scratch). Contents are
 /// zeroed before every use, so (per the
 /// [`parallel::for_each_chunk_with`](mmwave_sigproc::parallel::for_each_chunk_with)
 /// contract) scratch state can never influence a result.
@@ -1130,6 +1134,7 @@ pub struct CampaignScratch {
     forwarded: Vec<usize>,
     relay_energy_j: Vec<f64>,
     relay_latency_s: Vec<f64>,
+    budgets: Vec<Option<UplinkBudget>>,
 }
 
 impl CampaignScratch {
@@ -1151,6 +1156,7 @@ impl CampaignScratch {
         self.forwarded = m.forwarded;
         self.relay_energy_j = m.relay_energy_j;
         self.relay_latency_s = m.relay_latency_s;
+        self.budgets = m.budgets;
     }
 }
 
@@ -1234,6 +1240,11 @@ struct SlotMedium<'a> {
     relay_energy_j: Vec<f64>,
     /// Extra relay latency over direct uplinks, seconds, per origin node.
     relay_latency_s: Vec<f64>,
+    /// Per-node uplink budgets, filled the first time a node is served
+    /// (see [`budget`](Self::budget)). Lazy because a contended city cell
+    /// serves most nodes at most once; scalars only, so the table stays a
+    /// few dozen bytes per node.
+    budgets: Vec<Option<UplinkBudget>>,
     /// Per-node drop attribution for uncovered (gap) nodes, precomputed
     /// once per run from the relay topology: `None` for covered nodes,
     /// [`DropReason::HopBudgetExhausted`] or [`DropReason::NoRelayRoute`]
@@ -1257,6 +1268,20 @@ struct SlotMedium<'a> {
 }
 
 impl<'a> SlotMedium<'a> {
+    /// Node `node`'s [`UplinkBudget`]: computed by the node's own
+    /// [`LinkSimulator`] the first time the node is served, read from the
+    /// table after that. The scene is static over a campaign, so every
+    /// packet sees the budget a fresh simulator would compute.
+    fn budget(&mut self, node: usize) -> Result<UplinkBudget> {
+        if let Some(&Some(budget)) = self.budgets.get(node) {
+            return Ok(budget);
+        }
+        let sim = LinkSimulator::new(self.net.config.clone(), self.net.view_for(node)?)?;
+        let budget = sim.uplink_budget()?;
+        self.budgets[node] = Some(budget);
+        Ok(budget)
+    }
+
     /// Resolves one slot's transmitter group: accounts attempts and uplink
     /// energy, arbitrates the group by SDM separability, and serves the
     /// survivors (drawing channel noise from the trial stream in node-index
@@ -1323,8 +1348,8 @@ impl<'a> SlotMedium<'a> {
             return Ok(true);
         }
         for &node in group {
-            let sim = LinkSimulator::new(self.net.config.clone(), self.net.view_for(node)?)?;
-            let mut outcome = sim.uplink(self.payload, self.rng)?;
+            let budget = self.budget(node)?;
+            let mut outcome = LinkSimulator::uplink_symbols(&budget, self.payload, self.rng)?;
             if group.len() > 1 {
                 let margin = group
                     .iter()
@@ -1421,8 +1446,8 @@ impl<'a> SlotMedium<'a> {
                 self.relay_energy_j[tx] += e_tx;
             }
         }
-        let sim = LinkSimulator::new(self.net.config.clone(), self.net.view_for(terminal)?)?;
-        let mut outcome = sim.uplink(self.payload, self.rng)?;
+        let budget = self.budget(terminal)?;
+        let mut outcome = LinkSimulator::uplink_symbols(&budget, self.payload, self.rng)?;
         outcome.snr_db -= hop_snr_penalty_db * tag_hops as f64;
         self.probe.inc("relay_fired", 1);
         // The chain's flow id links its hop spans and terminal outcome in

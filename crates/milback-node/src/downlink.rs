@@ -7,8 +7,8 @@
 //! normal incidence (f_A = f_B) the scheme degenerates to single-tone OOK
 //! on one detector.
 
-use mmwave_sigproc::detect::integrate_and_dump;
-use mmwave_sigproc::stats::{mean, percentile};
+use mmwave_sigproc::detect::{integrate_and_dump, midpoint_threshold};
+use mmwave_sigproc::stats::mean;
 use mmwave_sigproc::waveform::OaqfmSymbol;
 use serde::{Deserialize, Serialize};
 
@@ -55,17 +55,14 @@ pub struct Thresholds {
 /// both on and off symbols: midway between the bright and dark levels
 /// (robust 90th/10th percentiles rather than min/max).
 ///
-/// Returns `Err(NoContrast)` when the levels are indistinguishable.
+/// Returns `Err(NoContrast)` when the levels are indistinguishable. The
+/// AP's uplink slicer calibrates the same way: both run
+/// [`midpoint_threshold`].
 pub fn calibrate_threshold(trace: &[f64]) -> Result<f64, DemodError> {
     if trace.is_empty() {
         return Err(DemodError::TraceTooShort);
     }
-    let hi = percentile(trace, 90.0);
-    let lo = percentile(trace, 10.0);
-    if hi - lo <= 0.0 {
-        return Err(DemodError::NoContrast);
-    }
-    Ok((hi + lo) / 2.0)
+    midpoint_threshold(trace).ok_or(DemodError::NoContrast)
 }
 
 /// Reusable buffers for the demodulation hot path: per-port symbol

@@ -206,12 +206,20 @@ pub fn best_lag(a: &[f64], b: &[f64]) -> Option<f64> {
 /// Estimates an on/off slicing threshold for a two-level trace: midway
 /// between the robust bright (90th percentile) and dark (10th percentile)
 /// levels. Returns `None` for empty traces or traces with no contrast.
+///
+/// Both percentiles come from one copy by selection
+/// ([`percentile_select`](crate::stats::percentile_select)), and the
+/// result equals `(percentile(trace, 90) + percentile(trace, 10)) / 2`
+/// bit for bit: the two levels can differ from the sorting path only in
+/// the sign of a zero, and with `hi > lo` a zero operand never sets the
+/// sum.
 pub fn midpoint_threshold(trace: &[f64]) -> Option<f64> {
     if trace.is_empty() {
         return None;
     }
-    let hi = crate::stats::percentile(trace, 90.0);
-    let lo = crate::stats::percentile(trace, 10.0);
+    let mut v = trace.to_vec();
+    let hi = crate::stats::percentile_select(&mut v, 90.0);
+    let lo = crate::stats::percentile_select(&mut v, 10.0);
     if hi - lo <= 0.0 {
         None
     } else {

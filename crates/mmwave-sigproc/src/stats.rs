@@ -78,6 +78,33 @@ pub fn percentile(x: &[f64], p: f64) -> f64 {
     }
 }
 
+/// [`percentile`] by selection instead of a full sort: `O(n)`, no
+/// allocation, and `v` is left reordered. It interpolates the same two
+/// order statistics under the same `partial_cmp` order, so it returns
+/// `percentile(v, p)` bit for bit — up to the sign of a zero result,
+/// because selection is unstable and `-0.0 == 0.0` ties may swap.
+///
+/// # Panics
+/// Panics if `v` is empty or `p` is out of range. `NaN` has no place in
+/// the `partial_cmp` order: comparing one panics, as in [`percentile`].
+pub fn percentile_select(v: &mut [f64], p: f64) -> f64 {
+    assert!(!v.is_empty(), "percentile of empty slice");
+    assert!((0.0..=100.0).contains(&p), "percentile out of range");
+    let order = |a: &f64, b: &f64| a.partial_cmp(b).unwrap();
+    let rank = p / 100.0 * (v.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let (_, &mut v_lo, above) = v.select_nth_unstable_by(lo, order);
+    if lo == hi {
+        v_lo
+    } else {
+        // The next order statistic is the least value above rank `lo`.
+        let v_hi = above.iter().copied().min_by(order).unwrap();
+        let frac = rank - lo as f64;
+        v_lo * (1.0 - frac) + v_hi * frac
+    }
+}
+
 /// Median (50th percentile).
 pub fn median(x: &[f64]) -> f64 {
     percentile(x, 50.0)

@@ -12,6 +12,39 @@ use mmwave_sigproc::waveform::{Chirp, OaqfmSymbol};
 use mmwave_sigproc::window::Window;
 use proptest::prelude::*;
 
+/// The sorting reference for the slicing threshold: midway between the
+/// 90th and 10th [`stats::percentile`], `None` without contrast.
+fn threshold_oracle(x: &[f64]) -> Option<f64> {
+    if x.is_empty() {
+        return None;
+    }
+    let hi = stats::percentile(x, 90.0);
+    let lo = stats::percentile(x, 10.0);
+    (hi - lo > 0.0).then(|| (hi + lo) / 2.0)
+}
+
+/// The collecting reference for the channel SNR measurement: the on/off
+/// populations gathered into vectors and reduced by [`stats::mean`] and
+/// [`stats::variance`] (a single-sample population has variance 0).
+fn channel_snr_oracle(symbol_stats: &[f64], tx_bits: &[bool]) -> f64 {
+    let population = |level: bool| -> Vec<f64> {
+        symbol_stats
+            .iter()
+            .zip(tx_bits)
+            .filter(|(_, &b)| b == level)
+            .map(|(&v, _)| v)
+            .collect()
+    };
+    let (on, off) = (population(true), population(false));
+    let var = |p: &[f64]| if p.len() > 1 { stats::variance(p) } else { 0.0 };
+    let swing = (stats::mean(&on) - stats::mean(&off)) / 2.0;
+    let noise = ((var(&on) + var(&off)) / 2.0).max(1e-300);
+    10.0 * (swing * swing / noise).log10()
+}
+
+/// Values that force ties, both signed zeros and a subnormal.
+const TIE_PALETTE: [f64; 6] = [-0.0, 0.0, 1.5, -2.25, 1e-310, 7.0];
+
 proptest! {
     /// Complex field axioms hold numerically.
     #[test]
@@ -173,6 +206,83 @@ proptest! {
         for (&v, &b) in trace.iter().zip(&pattern) {
             prop_assert_eq!(v > t, b);
         }
+    }
+
+    /// Both slicing-threshold helpers equal the two-percentile formula
+    /// bit for bit on continuous traces, forced ties (signed zeros and a
+    /// subnormal among them), all-equal traces and ±0.0-only traces, at
+    /// every length from one sample to 300.
+    #[test]
+    fn threshold_helpers_match_percentile_formula(
+        raw in proptest::collection::vec(-1e3f64..1e3, 1..301),
+        picks in proptest::collection::vec(0usize..TIE_PALETTE.len(), 300..301),
+    ) {
+        let n = raw.len();
+        let traces = [
+            raw.clone(),
+            picks[..n].iter().map(|&i| TIE_PALETTE[i]).collect(),
+            vec![raw[0]; n],
+            picks[..n].iter().map(|&i| if i % 2 == 0 { -0.0 } else { 0.0 }).collect::<Vec<f64>>(),
+        ];
+        for trace in &traces {
+            let want = threshold_oracle(trace).map(f64::to_bits);
+            prop_assert_eq!(midpoint_threshold(trace).map(f64::to_bits), want);
+            let calibrated = milback_node::downlink::calibrate_threshold(trace);
+            prop_assert_eq!(calibrated.clone().ok().map(f64::to_bits), want);
+            if want.is_none() {
+                prop_assert_eq!(calibrated, Err(milback_node::downlink::DemodError::NoContrast));
+            }
+        }
+    }
+
+    /// The order-statistic selection returns the sorting percentile's
+    /// value at any rank (equal under `==`: only a zero's sign may differ).
+    #[test]
+    fn percentile_select_matches_percentile(
+        raw in proptest::collection::vec(-1e3f64..1e3, 1..301),
+        picks in proptest::collection::vec(0usize..TIE_PALETTE.len(), 300..301),
+        p in 0.0f64..100.0,
+    ) {
+        let ties: Vec<f64> = picks[..raw.len()].iter().map(|&i| TIE_PALETTE[i]).collect();
+        for x in [&raw, &ties] {
+            for q in [p, 0.0, 10.0, 50.0, 90.0, 100.0] {
+                let mut v = x.clone();
+                prop_assert_eq!(stats::percentile_select(&mut v, q), stats::percentile(x, q));
+            }
+        }
+    }
+
+    /// The allocation-free SNR measurement equals the collected-population
+    /// oracle bit for bit, and the counting symbol BER equals the bit
+    /// error rate of the flattened streams.
+    #[test]
+    fn channel_snr_and_symbol_ber_match_oracles(
+        stats_in in proptest::collection::vec(-1e3f64..1e3, 2..301),
+        bits in proptest::collection::vec(any::<bool>(), 301..302),
+        flips in proptest::collection::vec(any::<u8>(), 301..302),
+    ) {
+        let n = stats_in.len();
+        let mut bits = bits[..n].to_vec();
+        // Both populations must be present; a singleton population
+        // exercises the zero-variance branch.
+        bits[0] = true;
+        bits[1] = false;
+        let got = milback_ap::uplink_rx::measure_channel_snr_db(&stats_in, &bits);
+        prop_assert_eq!(got.to_bits(), channel_snr_oracle(&stats_in, &bits).to_bits());
+
+        let tx: Vec<OaqfmSymbol> = bits.iter().zip(&flips).map(|(&a, &f)| OaqfmSymbol {
+            tone_a: a,
+            tone_b: f & 1 == 1,
+        }).collect();
+        let rx: Vec<OaqfmSymbol> = tx.iter().zip(&flips).map(|(s, &f)| OaqfmSymbol {
+            tone_a: s.tone_a ^ (f & 2 == 2),
+            tone_b: s.tone_b ^ (f & 4 == 4),
+        }).collect();
+        let flat = |s: &[OaqfmSymbol]| -> Vec<bool> { s.iter().flat_map(|s| [s.tone_a, s.tone_b]).collect() };
+        prop_assert_eq!(
+            milback_ap::uplink_rx::symbol_ber(&tx, &rx).to_bits(),
+            stats::bit_error_rate(&flat(&tx), &flat(&rx)).to_bits()
+        );
     }
 
     /// Chirp instantaneous frequency stays within the swept band.

@@ -43,8 +43,10 @@
 #      full-scale anchors are regenerated at the end
 #  17. the benchmark harness (perfbench/, its own Cargo workspace with path
 #      dependencies on crates/*) passes its self-test against the current
-#      library API, and neither perfbench/ (its Cargo.lock included) nor
-#      BENCHMARK.json is left modified
+#      library API, each of its four workloads runs once at full scale
+#      (`--seconds 1 --trace 0`) with `"correct": true` and no failed check
+#      (the golden-digest pin among them), and neither perfbench/ (its
+#      Cargo.lock included) nor BENCHMARK.json is left modified
 #
 # Usage: scripts/ci.sh          (from anywhere; cd's to the repo root)
 set -euo pipefail
@@ -510,8 +512,22 @@ fi
 ./target/release/net_audit >/dev/null
 grep -q '"reduced": false' "$LIFECYCLE" || { echo "FAIL: regenerated $LIFECYCLE is not full-scale" >&2; exit 1; }
 
-echo "==> [17/17] benchmark harness self-test (perfbench) + benchmark files unchanged"
+echo "==> [17/17] benchmark harness self-test (perfbench), one golden-checked run per workload, benchmark files unchanged"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# One short full-scale run per workload: every run re-runs its golden
+# batch against the pinned digest (`golden_digest_pinned`), so a hot path
+# that is fast but not bit-exact fails here, not only in the benchmark.
+for workload in city_contended sector_sdm relay_shed localize; do
+    out=$(CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 2>/dev/null) \
+        || { echo "FAIL: perfbench $workload exited non-zero" >&2; exit 1; }
+    if grep -q '"correct": false' <<<"$out" || ! grep -q '"failures": \[\]' <<<"$out"; then
+        echo "FAIL: perfbench $workload: $(grep -o '"failures": \[[^]]*\]' <<<"$out")" >&2
+        exit 1
+    fi
+    echo "OK: perfbench $workload correct, golden digest pinned"
+done
 git diff --exit-code perfbench BENCHMARK.json
 
 echo "==> ci.sh: all gates passed"
