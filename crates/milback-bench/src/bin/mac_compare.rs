@@ -21,7 +21,9 @@
 use milback_bench::experiments::{extension_mac_compare_instrumented, MAC_POLICY_NAMES};
 use milback_bench::hostinfo::HostInfo;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{log_info, log_warn, metrics_io, reduced_mode, results_dir, Report, Series};
+use milback_bench::{
+    log_info, log_warn, metrics_io, reduced_mode, results_dir, write_results_file, Report, Series,
+};
 use milback_core::telemetry::{chrome_trace, DEFAULT_TRACE_CAPACITY};
 use std::path::PathBuf;
 
@@ -161,15 +163,8 @@ fn write_metrics(
         .map(|p| (p.policy, &p.metrics))
         .collect();
     let doc = metrics_io::metrics_mac_json(&HostInfo::capture(), &config, &policies);
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        log_warn!("cannot create {}", dir.display());
-        return;
-    }
-    let path = dir.join("METRICS_mac.json");
-    match std::fs::write(&path, &doc) {
-        Ok(()) => log_info!("wrote {}", path.display()),
-        Err(e) => log_warn!("cannot write {}: {e}", path.display()),
+    if let Some(path) = write_results_file("METRICS_mac.json", &doc) {
+        log_info!("wrote {}", path.display());
     }
 }
 

@@ -24,7 +24,7 @@ use milback_bench::experiments::{
 };
 use milback_bench::hostinfo::HostInfo;
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{log_info, metrics_io, reduced_mode, results_dir, Report, Series};
+use milback_bench::{log_info, metrics_io, reduced_mode, write_results_file, Report, Series};
 use milback_core::DropReason;
 
 /// Sweep shape: the acceptance scene is 64 nodes over the ±60° sector
@@ -159,13 +159,8 @@ fn main() {
     write_metrics(&points, nodes, frames, reduced, &cfg);
     let csv = to_csv(&points);
     if !reduced {
-        let dir = results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join("extension_net_audit.csv");
-            match std::fs::write(&path, &csv) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
+        if let Some(path) = write_results_file("extension_net_audit.csv", &csv) {
+            println!("wrote {}", path.display());
         }
     } else {
         // CI validates the reduced schema from stdout instead.
@@ -208,14 +203,8 @@ fn write_metrics(
         })
         .collect();
     let doc = metrics_io::metrics_lifecycle_json(&HostInfo::capture(), &config, &cells);
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join("METRICS_lifecycle.json");
-    match std::fs::write(&path, doc) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    if let Some(path) = write_results_file("METRICS_lifecycle.json", &doc) {
+        println!("wrote {}", path.display());
     }
 }
 

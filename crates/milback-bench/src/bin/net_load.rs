@@ -16,7 +16,7 @@
 
 use milback_bench::experiments::{extension_net_load, NetLoadPoint, OVERFLOW_POLICY_NAMES};
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{reduced_mode, results_dir, Report, Series};
+use milback_bench::{reduced_mode, write_results_file, Report, Series};
 
 /// Campaign shape: 8-slot frames so the knee (capacity = slots/2 grants
 /// per frame) sits in the middle of the node sweep, and enough frames for
@@ -89,13 +89,8 @@ fn main() {
     // Hand-rolled CSV, same hygiene as the other anchors: undefined cells
     // are empty (never NaN/inf), and reduced runs never touch the anchor.
     if !reduced {
-        let dir = results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join("extension_net_load.csv");
-            match std::fs::write(&path, to_csv(&points)) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
+        if let Some(path) = write_results_file("extension_net_load.csv", &to_csv(&points)) {
+            println!("wrote {}", path.display());
         }
     } else {
         // CI validates the reduced schema from a scratch copy instead.

@@ -17,7 +17,7 @@ use milback_bench::experiments::{
     extension_net_relay, relay_sweep_config, NetRelayPoint, RELAY_TAG_RANGE_M,
 };
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{reduced_mode, results_dir, Report, Series};
+use milback_bench::{reduced_mode, write_results_file, Report, Series};
 
 /// Sweep shape: enough nodes for both gap rings to populate at every
 /// non-zero gap fraction, 12-slot frames to keep direct contention from
@@ -100,13 +100,8 @@ fn main() {
     // Hand-rolled CSV, same hygiene as the other anchors: undefined cells
     // are empty (never NaN/inf), and reduced runs never touch the anchor.
     if !reduced {
-        let dir = results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join("extension_net_relay.csv");
-            match std::fs::write(&path, to_csv(&points)) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
+        if let Some(path) = write_results_file("extension_net_relay.csv", &to_csv(&points)) {
+            println!("wrote {}", path.display());
         }
     } else {
         // CI validates the reduced schema from a scratch copy instead.

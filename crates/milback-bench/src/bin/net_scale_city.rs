@@ -15,7 +15,7 @@
 
 use milback_bench::experiments::{extension_net_scale_city, sector_campaign, NetScaleCityPoint};
 use milback_bench::runner::RunnerConfig;
-use milback_bench::{reduced_mode, results_dir, Report, Series};
+use milback_bench::{reduced_mode, write_results_file, Report, Series};
 use milback_core::{ApServiceConfig, OverflowPolicy, RelayConfig};
 
 /// The campaign shape shared by the full-scale anchor and the reduced CI
@@ -133,13 +133,8 @@ fn main() {
     // grid only carries the headline series). Reduced runs never touch the
     // full-scale anchor.
     if !reduced {
-        let dir = results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let path = dir.join("extension_net_scale_city.csv");
-            match std::fs::write(&path, to_csv(&points)) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
+        if let Some(path) = write_results_file("extension_net_scale_city.csv", &to_csv(&points)) {
+            println!("wrote {}", path.display());
         }
     }
     drop(io_span);

@@ -176,14 +176,8 @@ impl Report {
     /// read-only filesystem only loses the CSV copy).
     pub fn emit(&self) {
         print!("{}", self.render());
-        let dir = results_dir();
-        if fs::create_dir_all(&dir).is_ok() {
-            let file = dir.join(format!(
-                "{}.csv",
-                self.id.to_lowercase().replace([' ', '/'], "_")
-            ));
-            let _ = fs::write(file, self.to_csv());
-        }
+        let name = format!("{}.csv", self.id.to_lowercase().replace([' ', '/'], "_"));
+        write_results_file(&name, &self.to_csv());
     }
 
     /// [`Report::emit`] that skips the CSV write in [`reduced_mode`], so
@@ -204,6 +198,21 @@ pub fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results")
+}
+
+/// Writes `contents` to `results/<name>`, creating the directory first.
+/// Best-effort: a failure is reported on stderr and yields `None`; success
+/// yields the path written, for the caller to announce.
+pub fn write_results_file(name: &str, contents: &str) -> Option<PathBuf> {
+    let dir = results_dir();
+    let path = dir.join(name);
+    match fs::create_dir_all(&dir).and_then(|()| fs::write(&path, contents)) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("could not write {}: {e}", path.display());
+            None
+        }
+    }
 }
 
 /// Sweeps a closure over a grid, collecting a series.

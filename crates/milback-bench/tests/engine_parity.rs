@@ -1,10 +1,11 @@
 //! Parity suite for the discrete-event engine re-layering: the engine
-//! paths ([`Session::run_packet`], [`Network::uplink_round`]) must stay
-//! bit-identical to the retained pre-refactor implementations
-//! (`run_packet_direct`, `uplink_round_direct`) for fixed seeds — and that
-//! equality must survive the trial-parallel runner at every thread count,
-//! because the engine shares the per-trial RNG streams with everything
-//! else a trial does.
+//! session ([`Session::run_packet`]) must stay bit-identical to the
+//! retained pre-refactor implementation (`run_packet_direct`) for fixed
+//! seeds — and that equality must survive the trial-parallel runner at
+//! every thread count, because the engine shares the per-trial RNG streams
+//! with everything else a trial does. SDM rounds
+//! ([`Network::uplink_round`]) and slotted campaigns must be equally
+//! thread-count invariant.
 
 use milback_bench::runner::{run_trials, trial_rng, RunnerConfig};
 use milback_core::{Network, Packet, Scene, Session, SessionReport, SlottedAloha, SystemConfig};
@@ -90,45 +91,32 @@ fn session_reports_thread_count_invariant() {
     }
 }
 
-/// Engine rounds reproduce the direct round bit-for-bit, through the
-/// runner, at every thread count.
+/// SDM rounds through the runner are bit-identical at every thread count.
 #[test]
 fn network_rounds_thread_count_invariant() {
     let payloads: Vec<Vec<u8>> = vec![vec![1; 8], vec![2; 8], vec![3; 8]];
-    let run = |threads: usize, direct: bool| {
+    let run = |threads: usize| {
         let payloads = payloads.clone();
         run_trials(
             6,
             0x4E7,
             &RunnerConfig::with_threads(threads),
-            move |_, rng| {
-                let n = network();
-                if direct {
-                    n.uplink_round_direct(&payloads, rng).unwrap()
-                } else {
-                    n.uplink_round(&payloads, rng).unwrap()
-                }
-            },
+            move |_, rng| network().uplink_round(&payloads, rng).unwrap(),
         )
     };
-    let reference = run(1, false);
-    assert_eq!(reference, run(1, true), "engine round diverged from direct");
+    let reference = run(1);
     for threads in [2, 4, 8] {
-        assert_eq!(
-            reference,
-            run(threads, false),
-            "round changed at {threads} threads"
-        );
-    }
-    // SNR bits, not just PartialEq: catches any -0.0/NaN-shape drift.
-    let direct = run(1, true);
-    for (t, (a, b)) in reference.iter().zip(&direct).enumerate() {
-        for (ra, rb) in a.iter().zip(b) {
-            assert_eq!(
-                ra.outcome.snr_db.to_bits(),
-                rb.outcome.snr_db.to_bits(),
-                "trial {t} SNR bits diverged"
-            );
+        let rounds = run(threads);
+        assert_eq!(reference, rounds, "round changed at {threads} threads");
+        // SNR bits, not just PartialEq: catches any -0.0/NaN-shape drift.
+        for (t, (a, b)) in reference.iter().zip(&rounds).enumerate() {
+            for (ra, rb) in a.iter().zip(b) {
+                assert_eq!(
+                    ra.outcome.snr_db.to_bits(),
+                    rb.outcome.snr_db.to_bits(),
+                    "trial {t} SNR bits diverged at {threads} threads"
+                );
+            }
         }
     }
 }

@@ -29,8 +29,6 @@ pub struct SystemConfig {
     pub uplink_symbol_rate_hz: f64,
     /// Dense simulation rate for detector traces, Hz.
     pub trace_rate_hz: f64,
-    /// Monte-Carlo RNG seed.
-    pub seed: u64,
 }
 
 impl SystemConfig {
@@ -45,7 +43,6 @@ impl SystemConfig {
             downlink_symbol_rate_hz: 18e6,
             uplink_symbol_rate_hz: 20e6,
             trace_rate_hz: 200e6,
-            seed: 0x4D31_4C42, // "M1LB"
         }
     }
 
@@ -130,7 +127,6 @@ mod tests {
     fn config_is_cloneable_and_stable() {
         let c = SystemConfig::milback_default();
         let c2 = c.clone();
-        assert_eq!(c2.seed, c.seed);
         assert_eq!(c2.fmcw, c.fmcw);
         assert_eq!(c2.ap, c.ap);
     }

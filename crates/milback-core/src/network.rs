@@ -123,56 +123,10 @@ impl Network {
         })
     }
 
-    /// Runs an uplink round serving every node (each in its own beam/slot)
-    /// on the discrete-event engine: every beam walks the AP's
-    /// **Capture → Plan → Transmit** stages as three distinct events
-    /// (capture the granted transmission, plan the beam's interference
-    /// margin, then run the link), dispatched in posting order so a fixed
-    /// seed reproduces [`uplink_round_direct`](Self::uplink_round_direct)
-    /// bit-for-bit.
+    /// Runs an uplink round serving every node, each in its own beam, in
+    /// node order: every node's link runs on the shared stream, then its
+    /// effective SNR is degraded by the worst concurrent-beam leakage.
     pub fn uplink_round(
-        &self,
-        payloads: &[Vec<u8>],
-        rng: &mut GaussianSource,
-    ) -> Result<Vec<NodeReport>> {
-        if payloads.len() != self.node_count() {
-            return Err(MilbackError::Config(format!(
-                "{} payloads for {} nodes",
-                payloads.len(),
-                self.node_count()
-            )));
-        }
-        let n = self.node_count();
-        let medium = RoundMedium {
-            net: self,
-            rng,
-            payloads,
-            margins: vec![None; n],
-            reports: vec![None; n],
-        };
-        let mut engine = Engine::new(medium);
-        for idx in 0..n {
-            let id = engine.add_actor(Box::new(BeamActor {
-                me: ActorId(idx),
-                idx,
-            }));
-            debug_assert_eq!(id, ActorId(idx));
-            engine.post(0, id, RoundEvent::Stage(StageKind::Capture));
-        }
-        engine.run()?;
-        let m = engine.into_medium();
-        m.reports
-            .into_iter()
-            .enumerate()
-            .map(|(idx, r)| {
-                r.ok_or_else(|| MilbackError::Engine(format!("node {idx} was never served")))
-            })
-            .collect()
-    }
-
-    /// The pre-engine synchronous round, retained verbatim as the parity
-    /// reference for [`uplink_round`](Self::uplink_round).
-    pub fn uplink_round_direct(
         &self,
         payloads: &[Vec<u8>],
         rng: &mut GaussianSource,
@@ -359,9 +313,8 @@ impl Network {
     /// memory is O(buckets), not O(nodes). The run's [`ApServiceStats`]
     /// and [`LifecycleStats`] fold in too, exactly as
     /// [`CampaignAggregate::observe_run`] folds them from a report.
-    /// `scratch` recycles the campaign's per-node ledger vectors across
-    /// calls; its incoming contents are zeroed before use and never
-    /// influence the result.
+    /// `scratch` recycles the campaign's per-node ledger across calls; its
+    /// incoming rows are reset before use and never influence the result.
     ///
     /// The folded values are bit-identical to what the report path
     /// returns: both share one engine run and one per-node finishing
@@ -443,8 +396,9 @@ impl Network {
         // classification loop entirely so the parity path never touches
         // the per-node flags (delivery gating on `true` is an identity).
         if !relay.coverage.is_unbounded() {
-            for (idx, c) in medium.covered.iter_mut().enumerate() {
-                *c = relay.coverage.covers(&self.scene.ground_truth(idx));
+            let covered = relay.coverage.classify(&self.scene);
+            for (row, &c) in medium.nodes.iter_mut().zip(&covered) {
+                row.covered = c;
             }
             // Pre-classify every gap node's drop reason once per run (the
             // relay topology is static over a campaign), so the serve path
@@ -452,8 +406,10 @@ impl Network {
             // graph work, no RNG, no clock.
             #[cfg(feature = "telemetry")]
             {
-                medium.gap_reason =
-                    crate::relay::classify_gap_reasons(&self.scene, &medium.covered, relay);
+                let reasons = crate::relay::classify_gap_reasons(&self.scene, &covered, relay);
+                for (row, reason) in medium.nodes.iter_mut().zip(reasons) {
+                    row.gap_reason = reason;
+                }
             }
         }
         medium.probe = std::mem::take(probe);
@@ -496,8 +452,7 @@ impl Network {
 
     /// The pre-trait slotted-ALOHA campaign, retained verbatim as the
     /// parity reference for the [`SlottedAloha`]-behind-[`MacPolicy`]
-    /// refactor (the same role [`uplink_round_direct`](Self::uplink_round_direct)
-    /// plays for the engine re-layering).
+    /// refactor.
     pub fn run_slotted_direct(
         &self,
         frames: usize,
@@ -540,8 +495,8 @@ impl Network {
     }
 
     /// A campaign medium for `frames` frames of `plan`, its per-node
-    /// ledgers recycling `scratch`'s vectors (zeroed before use, so only
-    /// the allocations depend on the scratch's history).
+    /// ledger recycling `scratch`'s rows (reset before use, so only the
+    /// allocation depends on the scratch's history).
     fn slot_medium<'a>(
         &'a self,
         frames: usize,
@@ -551,13 +506,9 @@ impl Network {
         rng: &'a mut GaussianSource,
         scratch: &mut CampaignScratch,
     ) -> SlotMedium<'a> {
-        let n = self.node_count();
-        fn recycle<T: Copy>(v: &mut Vec<T>, n: usize, zero: T) -> Vec<T> {
-            let mut v = std::mem::take(v);
-            v.clear();
-            v.resize(n, zero);
-            v
-        }
+        let mut nodes = std::mem::take(&mut scratch.nodes);
+        nodes.clear();
+        nodes.resize(self.node_count(), NodeLedger::UNSERVED);
         SlotMedium {
             net: self,
             rng,
@@ -566,19 +517,7 @@ impl Network {
             frame_s: ps_to_secs(plan.frame_ps()),
             airtime_s,
             power: NodePowerModel::milback_default(),
-            attempts: recycle(&mut scratch.attempts, n, 0),
-            delivered: recycle(&mut scratch.delivered, n, 0),
-            collisions: recycle(&mut scratch.collisions, n, 0),
-            energy_j: recycle(&mut scratch.energy_j, n, 0.0),
-            snr_sum_db: recycle(&mut scratch.snr_sum_db, n, 0.0),
-            covered: recycle(&mut scratch.covered, n, true),
-            relayed: recycle(&mut scratch.relayed, n, 0),
-            relay_hops: recycle(&mut scratch.relay_hops, n, 0),
-            forwarded: recycle(&mut scratch.forwarded, n, 0),
-            relay_energy_j: recycle(&mut scratch.relay_energy_j, n, 0.0),
-            relay_latency_s: recycle(&mut scratch.relay_latency_s, n, 0.0),
-            budgets: recycle(&mut scratch.budgets, n, None),
-            gap_reason: Vec::new(),
+            nodes,
             lifecycle: LifecycleStats::new(),
             probe: CampaignProbe::disabled(),
             service: ApServiceStats::default(),
@@ -596,31 +535,28 @@ impl Network {
         mut each: impl FnMut(SlottedNodeReport),
     ) -> Result<()> {
         m.lifecycle.audit()?;
-        let n = m.net.node_count();
         // Duty cycling: outside its own transmissions every node idles.
         let total_s = m.frames as f64 * m.frame_s;
-        for idx in 0..n {
+        for (idx, row) in m.nodes.iter().enumerate() {
             // Forwarded relay transmissions are airtime too: without them
             // the idle-energy complement would double-bill relays as both
             // transmitting and idling. Zero forwards reproduces the
             // pre-relay expression bit-for-bit.
-            let active_s = (m.attempts[idx] + m.forwarded[idx]) as f64 * m.airtime_s;
-            let energy_j =
-                m.energy_j[idx] + m.power.energy_j(NodeActivity::Idle, total_s - active_s);
+            let active_s = (row.attempts + row.forwarded) as f64 * m.airtime_s;
+            let energy_j = row.energy_j + m.power.energy_j(NodeActivity::Idle, total_s - active_s);
             each(SlottedNodeReport {
                 node_idx: idx,
-                attempts: m.attempts[idx],
-                delivered: m.delivered[idx],
-                collisions: m.collisions[idx],
+                attempts: row.attempts,
+                delivered: row.delivered,
+                collisions: row.collisions,
                 energy_j,
-                mean_snr_db: (m.delivered[idx] > 0)
-                    .then(|| m.snr_sum_db[idx] / m.delivered[idx] as f64),
-                gap: !m.covered[idx],
-                relayed: m.relayed[idx],
-                relay_hops: m.relay_hops[idx],
-                forwarded: m.forwarded[idx],
-                relay_energy_j: m.relay_energy_j[idx],
-                relay_latency_s: m.relay_latency_s[idx],
+                mean_snr_db: (row.delivered > 0).then(|| row.snr_sum_db / row.delivered as f64),
+                gap: !row.covered,
+                relayed: row.relayed,
+                relay_hops: row.relay_hops,
+                forwarded: row.forwarded,
+                relay_energy_j: row.relay_energy_j,
+                relay_latency_s: row.relay_latency_s,
             });
         }
         Ok(())
@@ -641,88 +577,6 @@ impl Network {
             service: m.service,
             lifecycle: m.lifecycle.clone(),
         })
-    }
-}
-
-/// Events of one SDM uplink round: each beam walks the three AP service
-/// stages (the staged replacement of the old single `ServeNode` event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoundEvent {
-    /// One AP service stage of this actor's beam.
-    Stage(StageKind),
-}
-
-/// Shared medium of an uplink round.
-struct RoundMedium<'a> {
-    net: &'a Network,
-    rng: &'a mut GaussianSource,
-    payloads: &'a [Vec<u8>],
-    /// Per-beam planned interference margin (dB), set by the Plan stage
-    /// and consumed by Transmit. `f64::INFINITY` means no interferer.
-    margins: Vec<Option<f64>>,
-    reports: Vec<Option<NodeReport>>,
-}
-
-/// One beam, pointed at one node, serving it through the staged AP
-/// pipeline: Capture validates the node view, Plan computes the
-/// worst-case concurrent-beam margin, Transmit runs the link and applies
-/// it. The split computes exactly what the retained
-/// [`Network::serve_uplink`] computes (the margin fold and the SNR
-/// degradation are pure float expressions, and the RNG is drawn only in
-/// Transmit, in node order), so the parity suite's `==`/`to_bits` checks
-/// against [`Network::uplink_round_direct`] hold. Every stage posts the
-/// next at the same instant, so the engine's `(time, seq)` order runs all
-/// captures, then all plans, then all transmits, each in node order.
-struct BeamActor {
-    me: ActorId,
-    idx: usize,
-}
-
-impl<'a> Actor<RoundMedium<'a>, RoundEvent> for BeamActor {
-    fn on_event(
-        &mut self,
-        now_ps: TimePs,
-        event: &RoundEvent,
-        m: &mut RoundMedium<'a>,
-        out: &mut Outbox<RoundEvent>,
-    ) -> Result<()> {
-        let RoundEvent::Stage(stage) = *event;
-        match stage {
-            StageKind::Capture => {
-                // Front-end capture: the beam exists and the node is in
-                // view; anything else is a configuration error surfaced
-                // before any plan or transmission work is spent.
-                m.net.view_for(self.idx)?;
-                out.post_at(now_ps, self.me, RoundEvent::Stage(StageKind::Plan));
-            }
-            StageKind::Plan => {
-                // Beam plan: the worst concurrent-beam leakage toward this
-                // node — the same pure fold `serve_uplink` computes.
-                let margin = (0..m.net.node_count())
-                    .filter(|&o| o != self.idx)
-                    .map(|o| m.net.sdm_margin_db(self.idx, o))
-                    .fold(f64::INFINITY, f64::min);
-                m.margins[self.idx] = Some(margin);
-                out.post_at(now_ps, self.me, RoundEvent::Stage(StageKind::Transmit));
-            }
-            StageKind::Transmit => {
-                let margin = m.margins[self.idx]
-                    .ok_or_else(|| MilbackError::Engine("transmit before plan".into()))?;
-                let sim = LinkSimulator::new(m.net.config.clone(), m.net.view_for(self.idx)?)?;
-                let mut outcome = sim.uplink(&m.payloads[self.idx], m.rng)?;
-                if margin.is_finite() {
-                    let sig = db_to_lin(outcome.snr_db);
-                    let interference = db_to_lin(outcome.snr_db - margin);
-                    outcome.snr_db = 10.0 * (sig / (1.0 + interference)).log10();
-                }
-                m.reports[self.idx] = Some(NodeReport {
-                    node_idx: self.idx,
-                    outcome,
-                    sdm_margin_db: if margin.is_finite() { margin } else { f64::MAX },
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1114,27 +968,16 @@ impl Default for CampaignAggregate {
     }
 }
 
-/// Reusable per-worker ledger buffers for campaign runs: the per-node
-/// ledger vectors and uplink-budget table every campaign's engine medium
-/// needs, recycled across a sharded worker's cells instead of reallocated
-/// per cell (a report-path run passes a fresh scratch). Contents are
-/// zeroed before every use, so (per the
+/// Reusable per-worker ledger buffer for campaign runs: the per-node
+/// ledger rows (counters, energy, uplink budget) every campaign's engine
+/// medium needs, recycled across a sharded worker's cells instead of
+/// reallocated per cell (a report-path run passes a fresh scratch). Rows
+/// are reset before every use, so (per the
 /// [`parallel::for_each_chunk_with`](mmwave_sigproc::parallel::for_each_chunk_with)
 /// contract) scratch state can never influence a result.
 #[derive(Debug, Default)]
 pub struct CampaignScratch {
-    attempts: Vec<usize>,
-    delivered: Vec<usize>,
-    collisions: Vec<usize>,
-    energy_j: Vec<f64>,
-    snr_sum_db: Vec<f64>,
-    covered: Vec<bool>,
-    relayed: Vec<usize>,
-    relay_hops: Vec<usize>,
-    forwarded: Vec<usize>,
-    relay_energy_j: Vec<f64>,
-    relay_latency_s: Vec<f64>,
-    budgets: Vec<Option<UplinkBudget>>,
+    nodes: Vec<NodeLedger>,
 }
 
 impl CampaignScratch {
@@ -1143,20 +986,9 @@ impl CampaignScratch {
         Self::default()
     }
 
-    /// Takes a settled medium's ledger vectors back for the next cell.
+    /// Takes a settled medium's ledger back for the next cell.
     fn reclaim(&mut self, m: SlotMedium<'_>) {
-        self.attempts = m.attempts;
-        self.delivered = m.delivered;
-        self.collisions = m.collisions;
-        self.energy_j = m.energy_j;
-        self.snr_sum_db = m.snr_sum_db;
-        self.covered = m.covered;
-        self.relayed = m.relayed;
-        self.relay_hops = m.relay_hops;
-        self.forwarded = m.forwarded;
-        self.relay_energy_j = m.relay_energy_j;
-        self.relay_latency_s = m.relay_latency_s;
-        self.budgets = m.budgets;
+        self.nodes = m.nodes;
     }
 }
 
@@ -1210,6 +1042,59 @@ fn slot_event_label(ev: &SlotEvent) -> &'static str {
     }
 }
 
+/// One node's row of a slotted campaign's ledger.
+#[derive(Debug, Clone, Copy)]
+struct NodeLedger {
+    attempts: usize,
+    delivered: usize,
+    collisions: usize,
+    energy_j: f64,
+    snr_sum_db: f64,
+    /// AP reachability under the campaign's coverage model. `true` by
+    /// default (unbounded coverage), so the delivery gate `&& covered` is
+    /// an identity on the parity path.
+    covered: bool,
+    /// Deliveries that arrived over a relay route, as origin.
+    relayed: usize,
+    /// Route lengths summed across relayed deliveries, as origin.
+    relay_hops: usize,
+    /// Forwarding transmissions performed for other nodes' routes.
+    forwarded: usize,
+    /// Energy spent forwarding, joules (also added to `energy_j`).
+    relay_energy_j: f64,
+    /// Extra relay latency over direct uplinks, seconds, as origin.
+    relay_latency_s: f64,
+    /// The node's uplink budget, filled the first time it is served (see
+    /// [`SlotMedium::budget`]). Lazy because a contended city cell serves
+    /// most nodes at most once.
+    budget: Option<UplinkBudget>,
+    /// Drop attribution if the node is a gap node, precomputed once per
+    /// run from the relay topology: [`DropReason::HopBudgetExhausted`] or
+    /// [`DropReason::NoRelayRoute`]. `None` for covered nodes, and for
+    /// every node under unbounded coverage or in a telemetry-off build;
+    /// the serve path falls back to `NoRelayRoute`.
+    gap_reason: Option<DropReason>,
+}
+
+impl NodeLedger {
+    /// The row every node starts a campaign with.
+    const UNSERVED: Self = Self {
+        attempts: 0,
+        delivered: 0,
+        collisions: 0,
+        energy_j: 0.0,
+        snr_sum_db: 0.0,
+        covered: true,
+        relayed: 0,
+        relay_hops: 0,
+        forwarded: 0,
+        relay_energy_j: 0.0,
+        relay_latency_s: 0.0,
+        budget: None,
+        gap_reason: None,
+    };
+}
+
 /// Shared medium of a slotted campaign.
 struct SlotMedium<'a> {
     net: &'a Network,
@@ -1221,36 +1106,8 @@ struct SlotMedium<'a> {
     frame_s: f64,
     airtime_s: f64,
     power: NodePowerModel,
-    attempts: Vec<usize>,
-    delivered: Vec<usize>,
-    collisions: Vec<usize>,
-    energy_j: Vec<f64>,
-    snr_sum_db: Vec<f64>,
-    /// Per-node AP reachability under the campaign's coverage model.
-    /// All-`true` by default (unbounded coverage), so the delivery gate
-    /// `&& covered[node]` is an identity on the parity path.
-    covered: Vec<bool>,
-    /// Deliveries that arrived over a relay route, per origin node.
-    relayed: Vec<usize>,
-    /// Route lengths summed across relayed deliveries, per origin node.
-    relay_hops: Vec<usize>,
-    /// Forwarding transmissions performed for other nodes' routes.
-    forwarded: Vec<usize>,
-    /// Energy spent forwarding, joules (also added to `energy_j`).
-    relay_energy_j: Vec<f64>,
-    /// Extra relay latency over direct uplinks, seconds, per origin node.
-    relay_latency_s: Vec<f64>,
-    /// Per-node uplink budgets, filled the first time a node is served
-    /// (see [`budget`](Self::budget)). Lazy because a contended city cell
-    /// serves most nodes at most once; scalars only, so the table stays a
-    /// few dozen bytes per node.
-    budgets: Vec<Option<UplinkBudget>>,
-    /// Per-node drop attribution for uncovered (gap) nodes, precomputed
-    /// once per run from the relay topology: `None` for covered nodes,
-    /// [`DropReason::HopBudgetExhausted`] or [`DropReason::NoRelayRoute`]
-    /// otherwise. Empty under unbounded coverage or a telemetry-off
-    /// build; the serve path falls back to `NoRelayRoute`.
-    gap_reason: Vec<Option<DropReason>>,
+    /// One ledger row per node, indexed by node.
+    nodes: Vec<NodeLedger>,
     /// The run's packet-lifecycle ledger: offered/delivered/dropped
     /// counts and latency sketches (see [`LifecycleStats`]). Recording is
     /// feature-gated, not probe-gated, so plain and probed runs account
@@ -1273,12 +1130,12 @@ impl<'a> SlotMedium<'a> {
     /// table after that. The scene is static over a campaign, so every
     /// packet sees the budget a fresh simulator would compute.
     fn budget(&mut self, node: usize) -> Result<UplinkBudget> {
-        if let Some(&Some(budget)) = self.budgets.get(node) {
+        if let Some(budget) = self.nodes[node].budget {
             return Ok(budget);
         }
         let sim = LinkSimulator::new(self.net.config.clone(), self.net.view_for(node)?)?;
         let budget = sim.uplink_budget()?;
-        self.budgets[node] = Some(budget);
+        self.nodes[node].budget = Some(budget);
         Ok(budget)
     }
 
@@ -1313,8 +1170,8 @@ impl<'a> SlotMedium<'a> {
         degraded: bool,
     ) -> Result<bool> {
         for &node in group {
-            self.attempts[node] += 1;
-            self.energy_j[node] += self.power.energy_j(NodeActivity::Uplink, self.airtime_s);
+            self.nodes[node].attempts += 1;
+            self.nodes[node].energy_j += self.power.energy_j(NodeActivity::Uplink, self.airtime_s);
         }
         // SDM arbitration: the slot survives concurrency only if every
         // pair of co-slotted beams is separable (a degraded grant skips
@@ -1327,7 +1184,7 @@ impl<'a> SlotMedium<'a> {
             });
         if group.len() > 1 && !separable {
             for &node in group {
-                self.collisions[node] += 1;
+                self.nodes[node].collisions += 1;
             }
             // A degraded grant never ran SDM arbitration — plain
             // contention; an arbitrated loss is an inseparability drop.
@@ -1366,24 +1223,19 @@ impl<'a> SlotMedium<'a> {
             // burns the attempt and the airtime energy (it cannot know the
             // AP missed it), but nothing lands. The noise draw above stays
             // unconditional so covered nodes see an unchanged stream.
-            if outcome.decoded == self.payload && self.covered[node] {
-                self.delivered[node] += 1;
-                self.snr_sum_db[node] += outcome.snr_db;
+            let row = &mut self.nodes[node];
+            if outcome.decoded == self.payload && row.covered {
+                row.delivered += 1;
+                row.snr_sum_db += outcome.snr_db;
                 self.lifecycle.deliver_direct(1);
                 self.probe
                     .observe("delivered_snr_db", SNR_BUCKETS_DB, outcome.snr_db);
-            } else if !self.covered[node] {
+            } else if !row.covered {
                 // A gap node's direct uplink can never land; the
                 // precomputed classification says whether a relay route
                 // could have existed within the hop budget.
-                self.lifecycle.record_drops(
-                    self.gap_reason
-                        .get(node)
-                        .copied()
-                        .flatten()
-                        .unwrap_or(DropReason::NoRelayRoute),
-                    1,
-                );
+                self.lifecycle
+                    .record_drops(row.gap_reason.unwrap_or(DropReason::NoRelayRoute), 1);
             } else {
                 self.lifecycle.record_drops(DropReason::DecodeFailure, 1);
             }
@@ -1437,13 +1289,14 @@ impl<'a> SlotMedium<'a> {
         let origin = route[0];
         let terminal = route[route.len() - 1];
         let tag_hops = route.len() - 1;
-        self.attempts[origin] += 1;
+        self.nodes[origin].attempts += 1;
         let e_tx = self.power.energy_j(NodeActivity::Uplink, self.airtime_s);
         for &tx in route {
-            self.energy_j[tx] += e_tx;
+            let row = &mut self.nodes[tx];
+            row.energy_j += e_tx;
             if tx != origin {
-                self.forwarded[tx] += 1;
-                self.relay_energy_j[tx] += e_tx;
+                row.forwarded += 1;
+                row.relay_energy_j += e_tx;
             }
         }
         let budget = self.budget(terminal)?;
@@ -1466,12 +1319,13 @@ impl<'a> SlotMedium<'a> {
                 dur_ps: hop_dur_ps,
             });
         }
-        if outcome.decoded == self.payload && self.covered[terminal] {
-            self.delivered[origin] += 1;
-            self.relayed[origin] += 1;
-            self.relay_hops[origin] += route.len();
-            self.relay_latency_s[origin] += tag_hops as f64 * slot_s;
-            self.snr_sum_db[origin] += outcome.snr_db;
+        if outcome.decoded == self.payload && self.nodes[terminal].covered {
+            let row = &mut self.nodes[origin];
+            row.delivered += 1;
+            row.relayed += 1;
+            row.relay_hops += route.len();
+            row.relay_latency_s += tag_hops as f64 * slot_s;
+            row.snr_sum_db += outcome.snr_db;
             self.lifecycle.deliver_relayed(1);
             self.lifecycle
                 .observe_relay_extra_us(tag_hops as f64 * slot_s * 1e6);
@@ -1522,7 +1376,7 @@ impl<'a> SlotMedium<'a> {
             dur_ps,
         });
         for &node in group {
-            let cumulative_j = self.energy_j[node];
+            let cumulative_j = self.nodes[node].energy_j;
             self.probe.trace(|| TraceRecord::Energy {
                 time_ps: now_ps,
                 node,
@@ -2577,24 +2431,6 @@ mod tests {
             near[0].outcome.snr_db,
             far[0].outcome.snr_db
         );
-    }
-
-    #[test]
-    fn engine_round_matches_direct_bit_for_bit() {
-        for sep_deg in [4.0, 40.0] {
-            let n = two_node_network(sep_deg);
-            let payloads = vec![vec![0xAA; 32], vec![0x55; 32]];
-            let mut rng_e = GaussianSource::new(0xD15C);
-            let mut rng_d = GaussianSource::new(0xD15C);
-            let engine = n.uplink_round(&payloads, &mut rng_e).unwrap();
-            let direct = n.uplink_round_direct(&payloads, &mut rng_d).unwrap();
-            assert_eq!(engine, direct, "round reports diverged at {sep_deg}°");
-            for (e, d) in engine.iter().zip(&direct) {
-                assert_eq!(e.outcome.snr_db.to_bits(), d.outcome.snr_db.to_bits());
-            }
-            // The shared stream advanced identically.
-            assert_eq!(rng_e.sample(1.0).to_bits(), rng_d.sample(1.0).to_bits());
-        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!
 //! The sharded aggregate path never materializes a per-node report `Vec`:
 //! peak report memory is O(cells + histogram buckets), with the per-cell
-//! ledger vectors (O(largest cell)) recycled per worker through
+//! ledger (O(largest cell)) recycled per worker through
 //! [`CampaignScratch`].
 
 use crate::error::{MilbackError, Result};

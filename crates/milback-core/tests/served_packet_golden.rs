@@ -8,6 +8,13 @@
 //! core or the threshold decision) passes them. These pins catch it: each
 //! digest was computed from the code before the served-packet fast path
 //! (per-node budget table, sort-free decision) and must not move.
+//!
+//! Each campaign pin has two halves. The physics digest (per-node ledger,
+//! service counters) is pinned in every build. The lifecycle digest is
+//! pinned under the `telemetry` feature; without it the packet-lifecycle
+//! ledger records nothing by design, so the pin asserts it stays empty.
+//! Both halves were computed on code that still matched the original
+//! single-digest pins, so together they check the same fields.
 
 use milback_core::protocol::SlotPlan;
 use milback_core::telemetry::Histogram;
@@ -90,7 +97,6 @@ fn report_digest(r: &SlottedRunReport) -> u64 {
     for w in [s.offered, s.served, s.dropped, s.deferred, s.degraded] {
         d.word(w);
     }
-    d.lifecycle(&r.lifecycle);
     d.0
 }
 
@@ -131,8 +137,23 @@ fn aggregate_digest(a: &CampaignAggregate) -> u64 {
     d.histogram(&a.node_energy_j);
     d.histogram(&a.node_snr_db);
     d.histogram(&a.node_relay_hops);
-    d.lifecycle(&a.lifecycle);
     d.0
+}
+
+fn lifecycle_digest(l: &LifecycleStats) -> u64 {
+    let mut d = Digest::new();
+    d.lifecycle(l);
+    d.0
+}
+
+/// The lifecycle half of a pin: the pinned digest under `telemetry`, an
+/// empty ledger without it.
+fn assert_lifecycle(l: &LifecycleStats, pinned: u64, what: &str) {
+    if cfg!(feature = "telemetry") {
+        assert_eq!(lifecycle_digest(l), pinned, "{what} lifecycle digest");
+    } else {
+        assert_eq!(*l, LifecycleStats::new(), "{what} lifecycle ledger");
+    }
 }
 
 fn uplink_digest(o: &UplinkOutcome) -> u64 {
@@ -212,9 +233,10 @@ fn sdm_aware_sector_campaign_digest_is_pinned() {
     assert!(served > 0, "the pin must cover served packets");
     assert_eq!(
         report_digest(&report),
-        0xf556c30db738c4e0,
+        0x70a240f118a2cf27,
         "sdm sector digest"
     );
+    assert_lifecycle(&report.lifecycle, 0xd81aa32124d1e20a, "sdm sector");
 }
 
 #[test]
@@ -242,9 +264,10 @@ fn relay_aware_gapped_campaign_digest_is_pinned() {
     assert!(relayed > 0, "the pin must cover relayed packets");
     assert_eq!(
         report_digest(&report),
-        0xe5b1ae871cd9a00c,
+        0x51ecd7aa4e48d0be,
         "relay gapped digest"
     );
+    assert_lifecycle(&report.lifecycle, 0xda52bba7a7da6827, "relay gapped");
 }
 
 #[test]
@@ -272,9 +295,10 @@ fn sharded_city_campaign_digest_is_pinned() {
         assert!(agg.delivered > 0, "the pin must cover served packets");
         assert_eq!(
             aggregate_digest(&agg),
-            0x35f5640e69f2b7b9,
+            0x672e343c05d48ded,
             "city digest at {threads} threads"
         );
+        assert_lifecycle(&agg.lifecycle, 0xd1999c6fdd0c7ac1, "city");
     }
 }
 
@@ -296,4 +320,26 @@ fn bare_uplink_digests_are_pinned() {
         vec![0x44b194e79373ab21, 0xa6d085af8f3f85b0, 0xc41ef093bcbca454],
         "bare uplink digests"
     );
+}
+
+/// The three-node SDM round (4 m on boresight, 4.5 m at 35°, 3.5 m at
+/// −30°): three rounds on one stream, every node's decoded bytes, BER,
+/// SNRs and interference margin.
+#[test]
+fn uplink_round_digest_is_pinned() {
+    let scene = Scene::single_node(4.0, orientation())
+        .with_node_at(4.5, 35f64.to_radians(), orientation())
+        .with_node_at(3.5, -30f64.to_radians(), orientation());
+    let net = Network::new(SystemConfig::milback_default(), scene).unwrap();
+    let payloads: Vec<Vec<u8>> = vec![vec![1; 8], vec![2; 8], vec![3; 8]];
+    let mut rng = GaussianSource::new(SEED);
+    let mut d = Digest::new();
+    for _ in 0..3 {
+        for r in net.uplink_round(&payloads, &mut rng).unwrap() {
+            d.word(r.node_idx as u64);
+            d.word(uplink_digest(&r.outcome));
+            d.float(r.sdm_margin_db);
+        }
+    }
+    assert_eq!(d.0, 0x8fb87717e17bff39, "uplink round digest");
 }

@@ -21,8 +21,9 @@
 #      schema validation of results/METRICS_mac.json, the per-policy trace
 #      JSONL files (monotone time_ps, no NaN/inf), and the combined Chrome
 #      trace JSON
-#  12. the telemetry-off build (--no-default-features): tests pass, the
-#      reduced anchors survive, and no metrics artifact is written
+#  12. the telemetry-off build (--no-default-features): milback-core's
+#      and milback-bench's tests pass, the reduced anchors survive, and no
+#      metrics artifact is written
 #  13. the net_scale_city sharded sweep in reduced mode (4+ cells, ~10³
 #      nodes) + schema validation of its full-scale CSV anchor, which must
 #      carry a completed 10⁵-node campaign with live AP-service columns
@@ -291,6 +292,7 @@ fi
 rm -rf "$TRACE_DIR"
 
 echo "==> [12/17] telemetry-off build (--no-default-features) passes the anchor gates"
+cargo test --release -p milback-core --no-default-features -q
 cargo test --release -p milback-bench --no-default-features -q
 cargo build --release -p milback-bench --no-default-features
 rm -f "$METRICS"
