@@ -1,13 +1,11 @@
-//! Parity suite for the discrete-event engine re-layering: the engine
-//! session ([`Session::run_packet`]) must stay bit-identical to the
-//! retained pre-refactor implementation (`run_packet_direct`) for fixed
-//! seeds — and that equality must survive the trial-parallel runner at
-//! every thread count, because the engine shares the per-trial RNG streams
-//! with everything else a trial does. SDM rounds
-//! ([`Network::uplink_round`]) and slotted campaigns must be equally
-//! thread-count invariant.
+//! Thread-count invariance through the trial-parallel runner: packet
+//! sessions ([`Session::run_packet`]), SDM rounds
+//! ([`Network::uplink_round`]) and slotted campaigns must give bit-identical
+//! results at every thread count, because each trial draws only from its
+//! own per-trial RNG stream. The session's own outputs are pinned by
+//! `session_digest_is_pinned` in milback-core's `served_packet_golden.rs`.
 
-use milback_bench::runner::{run_trials, trial_rng, RunnerConfig};
+use milback_bench::runner::{run_trials, RunnerConfig};
 use milback_core::{Network, Packet, Scene, Session, SessionReport, SlottedAloha, SystemConfig};
 use mmwave_sigproc::random::GaussianSource;
 
@@ -37,56 +35,22 @@ fn packet_for(trial: usize) -> Packet {
     }
 }
 
-/// Engine sessions reproduce the direct implementation bit-for-bit on the
-/// same RNG stream, trial by trial.
-#[test]
-fn session_engine_matches_direct_per_trial() {
-    let s = session();
-    for trial in 0..4 {
-        let packet = packet_for(trial);
-        let mut rng_e = trial_rng(0x5E55, trial);
-        let mut rng_d = trial_rng(0x5E55, trial);
-        let engine = s.run_packet(&packet, &mut rng_e).unwrap();
-        let direct = s.run_packet_direct(&packet, &mut rng_d).unwrap();
-        assert_eq!(engine, direct, "trial {trial} diverged");
-        assert_eq!(
-            engine.node_energy_j.to_bits(),
-            direct.node_energy_j.to_bits(),
-            "trial {trial} energy bits diverged"
-        );
-        // The streams must have advanced identically too.
-        assert_eq!(rng_e.sample(1.0).to_bits(), rng_d.sample(1.0).to_bits());
-    }
-}
-
-/// The engine session through the runner: reports are bit-identical at
-/// thread counts 1, 2, 4, 8 (what `MILBACK_THREADS` resolves to), and each
-/// equals the direct path on the same per-trial stream.
+/// Sessions through the runner: reports are bit-identical at thread counts
+/// 1, 2, 4, 8 (what `MILBACK_THREADS` resolves to) to the 1-thread
+/// reference.
 #[test]
 fn session_reports_thread_count_invariant() {
-    let run = |threads: usize, direct: bool| -> Vec<SessionReport> {
+    let run = |threads: usize| -> Vec<SessionReport> {
         run_trials(8, 0xE4E4, &RunnerConfig::with_threads(threads), |i, rng| {
-            let s = session();
-            let packet = packet_for(i);
-            if direct {
-                s.run_packet_direct(&packet, rng).unwrap()
-            } else {
-                s.run_packet(&packet, rng).unwrap()
-            }
+            session().run_packet(&packet_for(i), rng).unwrap()
         })
     };
-    let reference = run(1, false);
-    assert_eq!(reference, run(1, true), "engine diverged from direct");
+    let reference = run(1);
     for threads in [2, 4, 8] {
         assert_eq!(
             reference,
-            run(threads, false),
-            "engine path changed at {threads} threads"
-        );
-        assert_eq!(
-            reference,
-            run(threads, true),
-            "direct path changed at {threads} threads"
+            run(threads),
+            "session changed at {threads} threads"
         );
     }
 }
@@ -121,8 +85,9 @@ fn network_rounds_thread_count_invariant() {
     }
 }
 
-/// The slotted campaign (engine-only — it has no direct twin) is itself
-/// schedule-invariant: same seed, same report, at any thread count.
+/// The slotted campaign is schedule-invariant: same seed, same report, at
+/// any thread count. (Its engine-vs-direct parity against
+/// `run_slotted_direct` lives in `mac_parity.rs`.)
 #[test]
 fn slotted_campaign_thread_count_invariant() {
     use milback_core::protocol::SlotPlan;
@@ -161,7 +126,7 @@ fn slotted_campaign_thread_count_invariant() {
 }
 
 /// A fresh `GaussianSource` behaves exactly like a runner stream with the
-/// same seed — the engine never consults anything but the stream it is
+/// same seed — the session never consults anything but the stream it is
 /// handed.
 #[test]
 fn engine_uses_only_the_handed_stream() {

@@ -1,12 +1,13 @@
-//! Deterministic discrete-event engine: the shared clock and medium every
-//! orchestration layer (session, network rounds, tracking) runs on.
+//! Deterministic discrete-event engine: the shared clock and medium the
+//! slotted campaign runs on.
 //!
-//! The paper's §7 protocol is a *timeline* — Field 1 → Field 2 → payload
-//! slots, across one or many nodes — but a synchronous call tree can only
-//! express one fixed interleaving of it. This engine turns the timeline
-//! into data: actors post timed events into one queue, the engine pops
-//! them in a total order, and every layer (AP carrier planning, node
-//! firmware, slot scheduling, trackers) reacts to the same clock.
+//! A campaign is a *timeline* across many nodes — slot boundaries, AP
+//! service stages with latencies and bounded queues, relay hops — and a
+//! synchronous call tree can only express one fixed interleaving of it.
+//! This engine turns the timeline into data: actors post timed events into
+//! one queue, the engine pops them in a total order, and every layer (slot
+//! scheduling, the Capture → Plan → Transmit pipeline, relay forwarding)
+//! reacts to the same clock.
 //!
 //! # Determinism contract
 //!
@@ -33,8 +34,7 @@
 //! access to the shared medium, and an [`Outbox`] for posting follow-up
 //! events; it never sees the queue or other actors directly, so all
 //! inter-actor communication is timed events through the queue. The run
-//! ends when the queue drains ([`Engine::run`]) or a horizon is reached
-//! ([`Engine::run_until`]).
+//! ends when the queue drains ([`Engine::run`]).
 
 use crate::error::{MilbackError, Result};
 use crate::telemetry::{Histogram, TraceRecord, TraceSink, OCCUPANCY_BUCKETS};
@@ -118,17 +118,6 @@ impl<E> Outbox<E> {
     /// (the event still fires, after everything already queued for `now`).
     pub fn post_at(&mut self, at_ps: TimePs, dst: ActorId, event: E) {
         self.posted.push((at_ps.max(self.now_ps), dst, event));
-    }
-
-    /// Posts `event` to `dst` after a delay of `delay_s` seconds.
-    pub fn post_after(&mut self, delay_s: f64, dst: ActorId, event: E) {
-        self.post_at(self.now_ps + secs_to_ps(delay_s), dst, event);
-    }
-
-    /// Posts `event` to `dst` at the current instant (fires after all
-    /// events already queued for `now`).
-    pub fn post_now(&mut self, dst: ActorId, event: E) {
-        self.post_at(self.now_ps, dst, event);
     }
 }
 
@@ -260,11 +249,6 @@ impl<M, E> Engine<M, E> {
         ActorId(self.actors.len() - 1)
     }
 
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// The engine clock (time of the most recently dispatched event).
     pub fn now_ps(&self) -> TimePs {
         self.now_ps
@@ -282,34 +266,16 @@ impl<M, E> Engine<M, E> {
         self.queue.push(Reverse(entry));
     }
 
-    /// Immutable access to a registered actor (for reading results out
-    /// after a run).
-    pub fn actor(&self, id: ActorId) -> Option<&dyn Actor<M, E>> {
-        self.actors.get(id.0).map(|a| a.as_ref())
-    }
-
     /// Runs until the queue drains. Returns the run statistics.
     ///
     /// A handler error aborts the run immediately with the queue state
     /// preserved (the caller can inspect `now_ps` for the failure time).
     pub fn run(&mut self) -> Result<EngineStats> {
-        self.run_until(TimePs::MAX)
-    }
-
-    /// Runs until the queue drains or the next event would fire after
-    /// `horizon_ps` (that event stays queued).
-    pub fn run_until(&mut self, horizon_ps: TimePs) -> Result<EngineStats> {
         let mut stats = EngineStats {
             events_dispatched: 0,
             end_time_ps: self.now_ps,
         };
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at_ps > horizon_ps {
-                break;
-            }
-            let Some(Reverse(entry)) = self.queue.pop() else {
-                break;
-            };
+        while let Some(Reverse(entry)) = self.queue.pop() {
             debug_assert!(
                 entry.at_ps >= self.now_ps,
                 "queue delivered an event from the past"
@@ -396,7 +362,7 @@ mod tests {
         ) -> Result<()> {
             log.push((now_ps, self.tag, *event));
             if let Some((delay_s, ev)) = self.follow_up.take() {
-                out.post_after(delay_s, ActorId(0), ev);
+                out.post_at(now_ps + secs_to_ps(delay_s), ActorId(0), ev);
             }
             Ok(())
         }
@@ -453,64 +419,6 @@ mod tests {
         e.run().unwrap();
         assert_eq!(e.medium.len(), 2);
         assert_eq!(e.medium[1], (secs_to_ps(5e-6), 1, 99));
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut e: Engine<Log, u32> = Engine::new(Vec::new());
-        let a = e.add_actor(Box::new(Recorder {
-            tag: 1,
-            follow_up: None,
-        }));
-        e.post(100, a, 1);
-        e.post(200, a, 2);
-        e.post(300, a, 3);
-        let stats = e.run_until(250).unwrap();
-        assert_eq!(stats.events_dispatched, 2);
-        // The third event survives and fires on the next run.
-        let stats = e.run().unwrap();
-        assert_eq!(stats.events_dispatched, 1);
-        assert_eq!(e.medium.len(), 3);
-    }
-
-    #[test]
-    fn run_until_dispatches_events_exactly_at_the_horizon() {
-        // The horizon is inclusive: an event at precisely `horizon_ps`
-        // fires in this run; only strictly-later events stay queued.
-        let mut e: Engine<Log, u32> = Engine::new(Vec::new());
-        let a = e.add_actor(Box::new(Recorder {
-            tag: 1,
-            follow_up: None,
-        }));
-        e.post(249, a, 1);
-        e.post(250, a, 2);
-        e.post(251, a, 3);
-        let stats = e.run_until(250).unwrap();
-        assert_eq!(stats.events_dispatched, 2);
-        assert_eq!(stats.end_time_ps, 250, "the horizon event itself fired");
-        let events: Vec<u32> = e.medium.iter().map(|&(_, _, ev)| ev).collect();
-        assert_eq!(events, vec![1, 2]);
-        // A second run at the same horizon is a no-op — nothing at or
-        // before 250 remains.
-        let stats = e.run_until(250).unwrap();
-        assert_eq!(stats.events_dispatched, 0);
-        let stats = e.run_until(251).unwrap();
-        assert_eq!(stats.events_dispatched, 1);
-        assert_eq!(e.medium.len(), 3);
-    }
-
-    #[test]
-    fn run_until_zero_horizon_fires_only_time_zero_events() {
-        let mut e: Engine<Log, u32> = Engine::new(Vec::new());
-        let a = e.add_actor(Box::new(Recorder {
-            tag: 1,
-            follow_up: None,
-        }));
-        e.post(0, a, 1);
-        e.post(1, a, 2);
-        let stats = e.run_until(0).unwrap();
-        assert_eq!(stats.events_dispatched, 1);
-        assert_eq!(e.medium, vec![(0, 1, 1)]);
     }
 
     /// Test actor posting a burst of same-timestamp events to two targets

@@ -595,8 +595,9 @@ impl LinkSimulator {
     }
 
     /// The unified propagation service: dispatches a transfer by
-    /// [`milback_ap::waveform::LinkDirection`] so engine actors can hand the medium a direction
-    /// and a payload without caring which physical path runs underneath.
+    /// [`milback_ap::waveform::LinkDirection`] so a caller (the packet
+    /// session) hands over a direction and a payload without caring which
+    /// physical path runs underneath.
     pub fn transfer(
         &self,
         direction: milback_ap::waveform::LinkDirection,

@@ -480,9 +480,11 @@ impl Network {
         Self::finish_slotted(&engine.into_medium())
     }
 
-    /// Validates that one `payload` packet (plus guard) fits a slot of
-    /// `plan` and returns the packet airtime in seconds.
+    /// Validates `plan` ([`SlotPlan::validate`]) and that one `payload`
+    /// packet (plus guard) fits a slot of it, and returns the packet
+    /// airtime in seconds.
     fn slotted_airtime_s(&self, payload: &[u8], plan: &SlotPlan) -> Result<f64> {
+        plan.validate()?;
         let packet = Packet::uplink(payload.to_vec());
         let airtime_s = packet.duration_s(&self.config.fmcw, self.config.uplink_symbol_rate_hz);
         if packet.duration_ps(&self.config.fmcw, self.config.uplink_symbol_rate_hz) > plan.slot_ps {
@@ -2561,6 +2563,59 @@ mod tests {
                 &mut rng
             )
             .is_err());
+    }
+
+    #[test]
+    fn slotted_rejects_hand_built_plans_of_bad_shape() {
+        use crate::protocol::{SlotPlan, MAX_SLOTS_PER_FRAME};
+        let n = two_node_network(30.0);
+        let payload = [0u8; 2];
+        let slot_ps = SlotPlan::for_packet(
+            2,
+            &Packet::uplink(payload.to_vec()),
+            &n.config.fmcw,
+            n.config.uplink_symbol_rate_hz,
+            0.0,
+        )
+        .unwrap()
+        .slot_ps;
+        // The fields are public, so these skip `for_packet`'s checks.
+        for slots_per_frame in [0, MAX_SLOTS_PER_FRAME + 1] {
+            let plan = SlotPlan {
+                slots_per_frame,
+                slot_ps,
+            };
+            let mut rng = GaussianSource::new(1);
+            let err = n
+                .run_mac(
+                    Box::new(SlottedAloha::new(0)),
+                    2,
+                    &payload,
+                    &plan,
+                    20.0,
+                    &mut rng,
+                )
+                .unwrap_err();
+            assert!(matches!(err, MilbackError::Config(_)), "run_mac: {err}");
+            let err = n
+                .run_sharded_mac_relay(
+                    1,
+                    1,
+                    7,
+                    2,
+                    &payload,
+                    &plan,
+                    20.0,
+                    &ApServiceConfig::instantaneous(),
+                    &RelayConfig::disabled(),
+                    |_, s| Box::new(SlottedAloha::new(s)),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, MilbackError::Config(_)),
+                "run_sharded_mac_relay: {err}"
+            );
+        }
     }
 
     #[test]

@@ -74,18 +74,6 @@ impl Packet {
         self.payload_duration_s(symbol_rate_hz) / self.duration_s(fmcw, symbol_rate_hz)
     }
 
-    /// [`preamble_duration_s`](Self::preamble_duration_s) on the engine
-    /// clock, picoseconds.
-    pub fn preamble_duration_ps(&self, fmcw: &FmcwConfig) -> TimePs {
-        secs_to_ps(self.preamble_duration_s(fmcw))
-    }
-
-    /// [`payload_duration_s`](Self::payload_duration_s) on the engine
-    /// clock, picoseconds.
-    pub fn payload_duration_ps(&self, symbol_rate_hz: f64) -> TimePs {
-        secs_to_ps(self.payload_duration_s(symbol_rate_hz))
-    }
-
     /// [`duration_s`](Self::duration_s) on the engine clock, picoseconds.
     pub fn duration_ps(&self, fmcw: &FmcwConfig, symbol_rate_hz: f64) -> TimePs {
         secs_to_ps(self.duration_s(fmcw, symbol_rate_hz))
@@ -174,29 +162,56 @@ impl SlotPlan {
         guard_s: f64,
     ) -> crate::error::Result<Self> {
         use crate::error::MilbackError;
-        if slots_per_frame == 0 {
+        if guard_s.is_nan() || guard_s < 0.0 {
+            return Err(MilbackError::Config(
+                "guard interval must be a non-negative number".into(),
+            ));
+        }
+        let slot_ps = packet
+            .duration_ps(fmcw, symbol_rate_hz)
+            .checked_add(secs_to_ps(guard_s))
+            .ok_or_else(|| {
+                MilbackError::Config(format!("a {guard_s:e} s guard overflows the clock"))
+            })?;
+        let plan = Self {
+            slots_per_frame,
+            slot_ps,
+        };
+        plan.validate()?;
+        Ok(plan)
+    }
+
+    /// Checks a plan's shape: `1..=MAX_SLOTS_PER_FRAME` slots per frame and
+    /// a positive slot width whose frame fits the picosecond clock. The
+    /// fields are public, so a campaign checks the plan it is handed
+    /// rather than trusting [`for_packet`](Self::for_packet) built it.
+    pub fn validate(&self) -> crate::error::Result<()> {
+        use crate::error::MilbackError;
+        if self.slots_per_frame == 0 {
             return Err(MilbackError::Config(
                 "a frame needs at least one slot".into(),
             ));
         }
-        if slots_per_frame > MAX_SLOTS_PER_FRAME {
+        if self.slots_per_frame > MAX_SLOTS_PER_FRAME {
             return Err(MilbackError::Config(format!(
-                "{slots_per_frame} slots per frame exceeds the {MAX_SLOTS_PER_FRAME}-slot limit"
+                "{} slots per frame exceeds the {MAX_SLOTS_PER_FRAME}-slot limit",
+                self.slots_per_frame
             )));
         }
-        if guard_s < 0.0 {
-            return Err(MilbackError::Config(
-                "guard interval cannot be negative".into(),
-            ));
-        }
-        let slot_ps = packet.duration_ps(fmcw, symbol_rate_hz) + secs_to_ps(guard_s);
-        if slot_ps == 0 {
+        if self.slot_ps == 0 {
             return Err(MilbackError::Config("slot width must be positive".into()));
         }
-        Ok(Self {
-            slots_per_frame,
-            slot_ps,
-        })
+        if self
+            .slot_ps
+            .checked_mul(self.slots_per_frame as TimePs)
+            .is_none()
+        {
+            return Err(MilbackError::Config(format!(
+                "a frame of {} slots of {} ps overflows the clock",
+                self.slots_per_frame, self.slot_ps
+            )));
+        }
+        Ok(())
     }
 
     /// One frame's airtime, picoseconds.
@@ -409,9 +424,11 @@ mod tests {
         let fmcw = FmcwConfig::milback_default();
         for p in [Packet::uplink(vec![]), Packet::downlink(vec![])] {
             assert_eq!(p.payload_duration_s(20e6), 0.0);
-            assert_eq!(p.payload_duration_ps(20e6), 0);
             assert_eq!(p.duration_s(&fmcw, 20e6), p.preamble_duration_s(&fmcw));
-            assert_eq!(p.duration_ps(&fmcw, 20e6), p.preamble_duration_ps(&fmcw));
+            assert_eq!(
+                p.duration_ps(&fmcw, 20e6),
+                secs_to_ps(p.preamble_duration_s(&fmcw))
+            );
             assert_eq!(p.efficiency(&fmcw, 20e6), 0.0);
             // And it still frames/unframes.
             assert_eq!(Packet::from_bytes(p.to_bytes()).unwrap(), p);
@@ -454,6 +471,14 @@ mod tests {
         assert!(SlotPlan::for_packet(MAX_SLOTS_PER_FRAME + 1, &p, &fmcw, 20e6, 5e-6).is_err());
         assert!(SlotPlan::for_packet(0, &p, &fmcw, 20e6, 5e-6).is_err());
         assert!(SlotPlan::for_packet(4, &p, &fmcw, 20e6, -1e-6).is_err());
+        // A guard past the clock's range, or a NaN one, is an error rather
+        // than a wrapped or zero-width guard.
+        for guard_s in [1e8, f64::INFINITY, f64::NAN] {
+            assert!(matches!(
+                SlotPlan::for_packet(4, &p, &fmcw, 20e6, guard_s),
+                Err(crate::error::MilbackError::Config(_))
+            ));
+        }
     }
 
     #[test]

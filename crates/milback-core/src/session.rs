@@ -5,27 +5,20 @@
 //! and the node's energy ledger accounted.
 //!
 //! This is the "network runtime" layer the lower modules compose into: one
-//! call runs everything the paper's Fig 8 timeline describes. The timeline
-//! itself lives on the discrete-event engine ([`crate::engine`]): the node
-//! firmware and the AP are actors, every protocol boundary (burst, gap,
-//! Field-2 capture, carrier planning, payload airtime) is a timed event,
-//! and all randomness flows through the one per-trial stream in the shared
-//! medium. [`Session::run_packet_direct`] retains the original synchronous
-//! call tree as the parity reference — the engine path must reproduce its
-//! reports bit-for-bit.
+//! call runs everything the paper's Fig 8 timeline describes. A single link
+//! has one possible order of events, so the session is a plain call
+//! sequence: Field-1 bursts, the Field-2 capture, carrier planning from the
+//! AP's estimate, then the payload. All randomness flows through the one
+//! per-trial stream the caller hands in.
 
 use crate::config::SystemConfig;
-use crate::engine::{secs_to_ps, Actor, ActorId, Engine, Outbox, TimePs};
 use crate::error::{MilbackError, Result};
 use crate::link::LinkSimulator;
 use crate::localization::{LocalizationPipeline, LocationFix};
-use crate::pipeline::{ApServiceConfig, StageKind};
 use crate::protocol::Packet;
 use crate::scene::Scene;
-use crate::telemetry::CampaignProbe;
 use milback_ap::waveform::LinkDirection;
 use milback_node::firmware::{Direction, Event as FwEvent, Firmware, State as FwState};
-use milback_node::mode::{PortMode, ToggleSchedule};
 use milback_node::power::NodePowerModel;
 use mmwave_sigproc::random::GaussianSource;
 use serde::{Deserialize, Serialize};
@@ -51,212 +44,6 @@ pub struct SessionReport {
     pub node_energy_j: f64,
 }
 
-/// Events on the single-link session timeline (§7 / Fig 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SessionEvent {
-    /// One Field-1 triangular burst reaches the node.
-    Field1Burst,
-    /// Field 1 ended: the node reads its detectors and decodes direction.
-    Field1Gap,
-    /// The Field-2 sawtooth train starts (the node begins toggling).
-    Field2Start,
-    /// One reflective/absorptive mode switch during Field 2.
-    ToggleMode,
-    /// Field-2 capture done: the AP localizes and estimates orientation.
-    Field2Process,
-    /// The AP plans payload carriers from its orientation estimate.
-    PlanCarriers,
-    /// Payload airtime begins at the node.
-    PayloadStart,
-    /// The payload propagates through the link.
-    PayloadTransfer,
-    /// Payload airtime ends; the node closes its state machine.
-    PayloadEnd,
-}
-
-/// The shared medium of one session run: the channel simulators, the
-/// per-trial RNG stream (per the runner's stream contract), and the slots
-/// results are deposited into as events fire.
-struct SessionMedium<'a> {
-    pipeline: LocalizationPipeline,
-    sim: LinkSimulator,
-    rng: &'a mut GaussianSource,
-    packet: &'a Packet,
-    field1_chirp_s: f64,
-    chirp_interval_s: f64,
-    downlink_symbol_rate_hz: f64,
-    uplink_symbol_rate_hz: f64,
-    toggle: ToggleSchedule,
-    // Results, filled in timeline order.
-    orientation_at_node: Option<f64>,
-    decoded_direction: Option<LinkDirection>,
-    fix: Option<LocationFix>,
-    orientation_at_ap: Option<f64>,
-    delivered: Option<(Vec<u8>, f64)>,
-    node_energy_j: f64,
-    mode_switches: usize,
-}
-
-impl SessionMedium<'_> {
-    fn symbol_rate_hz(&self) -> Result<f64> {
-        match self.decoded_direction {
-            Some(LinkDirection::Downlink) => Ok(self.downlink_symbol_rate_hz),
-            Some(LinkDirection::Uplink) => Ok(self.uplink_symbol_rate_hz),
-            None => Err(MilbackError::Protocol(
-                "payload scheduled before the node decoded a direction".into(),
-            )),
-        }
-    }
-
-    fn payload_s(&self) -> Result<f64> {
-        Ok(self.packet.payload.len() as f64 * 4.0 / self.symbol_rate_hz()?)
-    }
-}
-
-/// The node side: owns the firmware state machine and its energy ledger.
-struct NodeActor {
-    me: ActorId,
-    firmware: Firmware,
-}
-
-impl<'a> Actor<SessionMedium<'a>, SessionEvent> for NodeActor {
-    fn on_event(
-        &mut self,
-        _now_ps: TimePs,
-        event: &SessionEvent,
-        m: &mut SessionMedium<'a>,
-        out: &mut Outbox<SessionEvent>,
-    ) -> Result<()> {
-        match event {
-            SessionEvent::Field1Burst => {
-                self.firmware.step(FwEvent::BurstStart, m.field1_chirp_s)?;
-            }
-            SessionEvent::Field1Gap => {
-                m.orientation_at_node = Some(m.pipeline.orient_at_node(m.rng)?);
-                self.firmware.handle(FwEvent::Field1GapTimeout)?;
-                m.decoded_direction = Some(match self.firmware.state() {
-                    FwState::Field1Done {
-                        direction: Direction::Uplink,
-                    } => LinkDirection::Uplink,
-                    FwState::Field1Done {
-                        direction: Direction::Downlink,
-                    } => LinkDirection::Downlink,
-                    other => {
-                        return Err(MilbackError::Protocol(format!(
-                            "node failed to decode direction (state {other:?})"
-                        )))
-                    }
-                });
-            }
-            SessionEvent::Field2Start => {
-                let field2_s = 5.0 * m.chirp_interval_s;
-                self.firmware.step(FwEvent::BurstStart, field2_s)?;
-                // Mode switching as scheduled events: one per half-period
-                // of the localization toggle across the Field-2 window.
-                for t in m.toggle.switch_times_s(0.0, field2_s) {
-                    out.post_after(t, self.me, SessionEvent::ToggleMode);
-                }
-            }
-            SessionEvent::ToggleMode => {
-                m.mode_switches += 1;
-            }
-            SessionEvent::PayloadStart => {
-                let payload_s = m.payload_s()?;
-                self.firmware.step(FwEvent::Field2Complete, payload_s)?;
-            }
-            SessionEvent::PayloadEnd => {
-                self.firmware.handle(FwEvent::PayloadComplete)?;
-                m.node_energy_j = self.firmware.energy_j();
-            }
-            _ => {
-                return Err(MilbackError::Engine(format!(
-                    "node actor received AP event {event:?}"
-                )))
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The AP side: Field-2 processing, carrier planning, payload scheduling.
-/// The three protocol steps are the single-link image of the MAC layer's
-/// **Capture → Plan → Transmit** pipeline: `Field2Process` is the capture
-/// stage (it completes `capture_ps` after the Field-2 window closes),
-/// `PlanCarriers` the plan stage, and the payload schedule starts after
-/// the transmit-stage latency. Under [`ApServiceConfig::instantaneous`]
-/// every post lands at the current instant, reproducing the pre-pipeline
-/// timeline bit-for-bit.
-struct ApActor {
-    me: ActorId,
-    node: ActorId,
-    service: ApServiceConfig,
-}
-
-impl<'a> Actor<SessionMedium<'a>, SessionEvent> for ApActor {
-    fn on_event(
-        &mut self,
-        now_ps: TimePs,
-        event: &SessionEvent,
-        m: &mut SessionMedium<'a>,
-        out: &mut Outbox<SessionEvent>,
-    ) -> Result<()> {
-        match event {
-            SessionEvent::Field2Process => {
-                m.fix = Some(m.pipeline.localize(m.rng)?);
-                m.orientation_at_ap = Some(m.pipeline.orient_at_ap(m.rng)?);
-                out.post_at(
-                    now_ps + self.service.stage_latency_ps(StageKind::Capture),
-                    self.me,
-                    SessionEvent::PlanCarriers,
-                );
-            }
-            SessionEvent::PlanCarriers => {
-                // Carriers planned from the AP's *estimate*, never ground
-                // truth — the closed loop the protocol actually runs.
-                m.sim.orientation_hint = m.orientation_at_ap;
-                let payload_s = m.payload_s()?;
-                // The payload starts once the plan lands and the transmit
-                // front-end is configured. AP compute latency is AP-side:
-                // the node's energy ledger ticks airtime only.
-                let start_ps = now_ps
-                    + self.service.stage_latency_ps(StageKind::Plan)
-                    + self.service.stage_latency_ps(StageKind::Transmit);
-                out.post_at(start_ps, self.node, SessionEvent::PayloadStart);
-                out.post_at(start_ps, self.me, SessionEvent::PayloadTransfer);
-                out.post_at(
-                    start_ps + secs_to_ps(payload_s),
-                    self.node,
-                    SessionEvent::PayloadEnd,
-                );
-            }
-            SessionEvent::PayloadTransfer => {
-                let delivered = match m.decoded_direction {
-                    Some(LinkDirection::Downlink) => {
-                        let o = m.sim.downlink(&m.packet.payload, m.rng)?;
-                        (o.decoded, o.ber)
-                    }
-                    Some(LinkDirection::Uplink) => {
-                        let o = m.sim.uplink(&m.packet.payload, m.rng)?;
-                        (o.decoded, o.ber)
-                    }
-                    None => {
-                        return Err(MilbackError::Protocol(
-                            "payload transfer before direction decode".into(),
-                        ))
-                    }
-                };
-                m.delivered = Some(delivered);
-            }
-            _ => {
-                return Err(MilbackError::Engine(format!(
-                    "AP actor received node event {event:?}"
-                )))
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The session runner.
 #[derive(Debug, Clone)]
 pub struct Session {
@@ -276,165 +63,19 @@ impl Session {
         Ok(Self { config, scene })
     }
 
-    /// Runs one complete packet on the discrete-event engine. The AP plans
-    /// carriers from its *own* Field-2 orientation estimate (never ground
-    /// truth); the node decodes the direction from the Field-1 burst count
-    /// and runs its firmware state machine through the whole exchange.
-    ///
-    /// Bit-identical to [`run_packet_direct`](Self::run_packet_direct) for
-    /// any seed — the parity suite enforces this.
+    /// Runs one complete packet. The AP plans carriers from its *own*
+    /// Field-2 orientation estimate (never ground truth); the node decodes
+    /// the direction from the Field-1 burst count and runs its firmware
+    /// state machine through the whole exchange.
     pub fn run_packet(&self, packet: &Packet, rng: &mut GaussianSource) -> Result<SessionReport> {
-        self.run_packet_service_probed(
-            packet,
-            rng,
-            &ApServiceConfig::instantaneous(),
-            &mut CampaignProbe::disabled(),
-        )
-    }
-
-    /// [`run_packet`](Self::run_packet) under an explicit
-    /// [`ApServiceConfig`] and with an instrumentation probe.
-    ///
-    /// The AP's Field-2 processing, carrier planning, and transmit setup
-    /// each cost their configured stage latency, so the payload starts
-    /// `total_latency_ps` later than the instantaneous timeline. The
-    /// physics and the RNG draw order are unchanged — only event
-    /// timestamps shift — so the report is identical up to the session
-    /// clock.
-    ///
-    /// When tracing, every dispatched session event is recorded
-    /// `(time_ps, seq, actor, kind)`; metrics count dispatches, mode
-    /// switches, and the node energy draw. The probe copies values the
-    /// session already computed and can never perturb it.
-    pub fn run_packet_service_probed(
-        &self,
-        packet: &Packet,
-        rng: &mut GaussianSource,
-        service: &ApServiceConfig,
-        probe: &mut CampaignProbe,
-    ) -> Result<SessionReport> {
+        // Both simulators are built before Field 1, so a construction error
+        // comes before the first draw from `rng`.
         let pipeline = LocalizationPipeline::new(self.config.clone(), self.scene.clone())?;
-        let sim = LinkSimulator::new(self.config.clone(), self.scene.clone())?;
-        let medium = SessionMedium {
-            pipeline,
-            sim,
-            rng,
-            packet,
-            field1_chirp_s: self.config.fmcw.field1_chirp_s,
-            chirp_interval_s: self.config.fmcw.chirp_interval_s,
-            downlink_symbol_rate_hz: self.config.downlink_symbol_rate_hz,
-            uplink_symbol_rate_hz: self.config.uplink_symbol_rate_hz,
-            toggle: ToggleSchedule {
-                rate_hz: self.config.localization_toggle_hz,
-                initial: PortMode::Reflective,
-            },
-            orientation_at_node: None,
-            decoded_direction: None,
-            fix: None,
-            orientation_at_ap: None,
-            delivered: None,
-            node_energy_j: 0.0,
-            mode_switches: 0,
-        };
-        let mut engine = Engine::new(medium);
-        if let Some(sink) = &probe.trace {
-            engine.set_tracer(sink.clone(), |ev| match ev {
-                SessionEvent::Field1Burst => "field1_burst",
-                SessionEvent::Field1Gap => "field1_gap",
-                SessionEvent::Field2Start => "field2_start",
-                SessionEvent::ToggleMode => "toggle_mode",
-                SessionEvent::Field2Process => "field2_process",
-                SessionEvent::PlanCarriers => "plan_carriers",
-                SessionEvent::PayloadStart => "payload_start",
-                SessionEvent::PayloadTransfer => "payload_transfer",
-                SessionEvent::PayloadEnd => "payload_end",
-            });
-        }
-        let node = engine.add_actor(Box::new(NodeActor {
-            me: ActorId(0),
-            firmware: Firmware::new(NodePowerModel::milback_default()),
-        }));
-        let ap = engine.add_actor(Box::new(ApActor {
-            me: ActorId(1),
-            node,
-            service: *service,
-        }));
-        debug_assert_eq!((node, ap), (ActorId(0), ActorId(1)));
-
-        // Script the §7 preamble; the payload schedule is posted by the AP
-        // once it has planned carriers.
-        let chirp_ps = secs_to_ps(self.config.fmcw.field1_chirp_s);
-        let bursts = packet.direction.field1_chirp_count();
-        for k in 0..bursts {
-            engine.post(k as TimePs * chirp_ps, node, SessionEvent::Field1Burst);
-        }
-        engine.post(bursts as TimePs * chirp_ps, node, SessionEvent::Field1Gap);
-        let preamble_ps = packet.preamble_duration_ps(&self.config.fmcw);
-        let field2_ps = secs_to_ps(5.0 * self.config.fmcw.chirp_interval_s);
-        engine.post(preamble_ps - field2_ps, node, SessionEvent::Field2Start);
-        engine.post(preamble_ps, ap, SessionEvent::Field2Process);
-        let stats = engine.run()?;
-
-        let m = engine.into_medium();
-        let decoded_direction = m
-            .decoded_direction
-            .ok_or_else(|| MilbackError::Protocol("session ended before Field 1".into()))?;
-        let (delivered, ber) = m
-            .delivered
-            .ok_or_else(|| MilbackError::Protocol("session ended before the payload".into()))?;
-        let symbol_rate = match decoded_direction {
-            LinkDirection::Downlink => self.config.downlink_symbol_rate_hz,
-            LinkDirection::Uplink => self.config.uplink_symbol_rate_hz,
-        };
-        probe.inc("session_events", stats.events_dispatched as u64);
-        probe.inc("mode_switches", m.mode_switches as u64);
-        probe.observe(
-            "session_node_energy_j",
-            crate::telemetry::ENERGY_BUCKETS_J,
-            m.node_energy_j,
-        );
-        // FSA cache traffic for this packet's pipeline (the evaluator is
-        // per-session, so the snapshot is exactly this packet's queries),
-        // and the Field-2 chirp stack the FMCW detector batched (five
-        // chirps by protocol, §5.1).
-        probe.record_fsa_stats(&m.pipeline.gain_eval.stats());
-        probe.observe_fmcw_batch(5);
-        // Consistency guards: the node decoded what the AP signalled, and
-        // the engine clock closed exactly at the packet's airtime plus the
-        // AP's end-to-end service latency (zero on the instantaneous path).
-        debug_assert_eq!(decoded_direction, packet.direction);
-        debug_assert_eq!(
-            stats.end_time_ps,
-            packet.duration_ps(&self.config.fmcw, symbol_rate) + service.total_latency_ps()
-        );
-        Ok(SessionReport {
-            fix: m
-                .fix
-                .ok_or_else(|| MilbackError::Protocol("session ended before Field 2".into()))?,
-            orientation_at_ap: m.orientation_at_ap.unwrap_or(f64::NAN),
-            orientation_at_node: m.orientation_at_node.unwrap_or(f64::NAN),
-            decoded_direction,
-            delivered,
-            ber,
-            airtime_s: packet.duration_s(&self.config.fmcw, symbol_rate),
-            node_energy_j: m.node_energy_j,
-        })
-    }
-
-    /// The pre-engine synchronous implementation, retained verbatim as the
-    /// parity reference for [`run_packet`](Self::run_packet).
-    pub fn run_packet_direct(
-        &self,
-        packet: &Packet,
-        rng: &mut GaussianSource,
-    ) -> Result<SessionReport> {
-        let pipeline = LocalizationPipeline::new(self.config.clone(), self.scene.clone())?;
+        let mut sim = LinkSimulator::new(self.config.clone(), self.scene.clone())?;
         let mut firmware = Firmware::new(NodePowerModel::milback_default());
 
         // ---- Field 1: node senses orientation; bursts signal direction.
-        let direction = packet.direction;
-        let bursts = direction.field1_chirp_count();
-        for _ in 0..bursts {
+        for _ in 0..packet.direction.field1_chirp_count() {
             firmware.handle(FwEvent::BurstStart)?;
             firmware.tick(self.config.fmcw.field1_chirp_s);
         }
@@ -463,35 +104,24 @@ impl Session {
 
         // ---- Payload: carriers planned from the AP's *estimate*, never
         // ground truth — the closed loop the protocol actually runs.
-        let mut sim = LinkSimulator::new(self.config.clone(), self.scene.clone())?;
         sim.orientation_hint = Some(orientation_at_ap);
         let symbol_rate = match decoded_direction {
             LinkDirection::Downlink => self.config.downlink_symbol_rate_hz,
             LinkDirection::Uplink => self.config.uplink_symbol_rate_hz,
         };
-        let payload_s = packet.payload.len() as f64 * 4.0 / symbol_rate;
-        firmware.tick(payload_s);
-        let (delivered, ber) = match decoded_direction {
-            LinkDirection::Downlink => {
-                let out = sim.downlink(&packet.payload, rng)?;
-                (out.decoded, out.ber)
-            }
-            LinkDirection::Uplink => {
-                let out = sim.uplink(&packet.payload, rng)?;
-                (out.decoded, out.ber)
-            }
-        };
+        firmware.tick(packet.payload_duration_s(symbol_rate));
+        let transfer = sim.transfer(decoded_direction, &packet.payload, rng)?;
         firmware.handle(FwEvent::PayloadComplete)?;
 
-        debug_assert_eq!(decoded_direction, direction);
+        debug_assert_eq!(decoded_direction, packet.direction);
 
         Ok(SessionReport {
             fix,
             orientation_at_ap,
             orientation_at_node,
             decoded_direction,
-            delivered,
-            ber,
+            delivered: transfer.decoded().to_vec(),
+            ber: transfer.ber(),
             airtime_s: packet.duration_s(&self.config.fmcw, symbol_rate),
             node_energy_j: firmware.energy_j(),
         })
@@ -555,66 +185,6 @@ mod tests {
         let report = s.run_packet(&packet, &mut rng).unwrap();
         assert_eq!(report.decoded_direction, LinkDirection::Uplink);
         assert_eq!(report.delivered, b"node says hi");
-    }
-
-    #[test]
-    fn engine_and_direct_reports_are_bit_identical() {
-        let s = session(3.0, 12.0);
-        for (seed, packet) in [
-            (0xA11CE, Packet::downlink(b"parity downlink".to_vec())),
-            (0xB0B, Packet::uplink(b"parity uplink".to_vec())),
-            (7, Packet::downlink(vec![])),
-            (8, Packet::uplink(vec![0xFF; 128])),
-        ] {
-            let mut rng_e = GaussianSource::new(seed);
-            let mut rng_d = GaussianSource::new(seed);
-            let engine = s.run_packet(&packet, &mut rng_e).unwrap();
-            let direct = s.run_packet_direct(&packet, &mut rng_d).unwrap();
-            assert_eq!(engine, direct, "reports diverged for seed {seed:#x}");
-            assert_eq!(
-                engine.node_energy_j.to_bits(),
-                direct.node_energy_j.to_bits(),
-                "energy ledger diverged for seed {seed:#x}"
-            );
-            assert_eq!(engine.ber.to_bits(), direct.ber.to_bits());
-        }
-    }
-
-    #[test]
-    fn service_latency_shifts_the_clock_but_not_the_physics() {
-        // Nonzero AP stage latencies delay the payload schedule (the
-        // end-of-run clock guard inside the runner checks the exact
-        // shift) but draw no randomness and change no physics — the
-        // report is identical to the instantaneous run.
-        let s = session(3.0, 12.0);
-        let packet = Packet::downlink(b"staged session".to_vec());
-        let mut rng_a = GaussianSource::new(0xC0FFEE);
-        let mut rng_b = GaussianSource::new(0xC0FFEE);
-        let instant = s.run_packet(&packet, &mut rng_a).unwrap();
-        let staged = s
-            .run_packet_service_probed(
-                &packet,
-                &mut rng_b,
-                &ApServiceConfig::instantaneous()
-                    .with_stage_latencies(1_000_000, 2_000_000, 3_000_000),
-                &mut CampaignProbe::disabled(),
-            )
-            .unwrap();
-        assert_eq!(instant, staged);
-        assert_eq!(rng_a.sample(1.0).to_bits(), rng_b.sample(1.0).to_bits());
-    }
-
-    #[test]
-    fn engine_and_direct_advance_rng_identically() {
-        // After a packet, both paths must leave the shared stream in the
-        // same state — duty cycles interleave packets on one stream.
-        let s = session(2.5, 8.0);
-        let packet = Packet::downlink(vec![1, 2, 3, 4]);
-        let mut rng_e = GaussianSource::new(99);
-        let mut rng_d = GaussianSource::new(99);
-        s.run_packet(&packet, &mut rng_e).unwrap();
-        s.run_packet_direct(&packet, &mut rng_d).unwrap();
-        assert_eq!(rng_e.sample(1.0).to_bits(), rng_d.sample(1.0).to_bits());
     }
 
     #[test]

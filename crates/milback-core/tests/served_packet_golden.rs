@@ -1,7 +1,8 @@
 //! Golden served-packet digests: `to_bits` digests of the campaigns whose
 //! every served packet runs the symbol-level uplink inside
 //! `SlotMedium::fire_slot` / `fire_relay`, plus the bare
-//! [`LinkSimulator::uplink`] at three distances.
+//! [`LinkSimulator::uplink`] at three distances, the SDM uplink round and
+//! the §7 packet session ([`Session::run_packet`]).
 //!
 //! The parity suites compare two callers of the same serve path, so a
 //! drift *inside* it (a reordered float op in the link budget, the symbol
@@ -20,8 +21,8 @@ use milback_core::protocol::SlotPlan;
 use milback_core::telemetry::Histogram;
 use milback_core::{
     ApServiceConfig, CampaignAggregate, CoverageModel, LifecycleStats, LinkSimulator, Network,
-    OverflowPolicy, Packet, RelayAwareMac, RelayConfig, Scene, SdmAwareAssignment, SlottedAloha,
-    SlottedRunReport, SystemConfig, UplinkOutcome,
+    OverflowPolicy, Packet, RelayAwareMac, RelayConfig, Scene, SdmAwareAssignment, Session,
+    SessionReport, SlottedAloha, SlottedRunReport, SystemConfig, UplinkOutcome,
 };
 use mmwave_sigproc::random::GaussianSource;
 
@@ -342,4 +343,69 @@ fn uplink_round_digest_is_pinned() {
         }
     }
     assert_eq!(d.0, 0x8fb87717e17bff39, "uplink round digest");
+}
+
+/// Every `SessionReport` field by bits, then the stream's next draw, so a
+/// packet that consumed one draw more or less moves the digest too.
+fn session_digest(d: &mut Digest, r: &SessionReport, rng: &mut GaussianSource) {
+    for v in [
+        r.fix.range_m,
+        r.fix.angle_rad,
+        r.fix.position.x,
+        r.fix.position.y,
+        r.fix.confidence_db,
+        r.orientation_at_ap,
+        r.orientation_at_node,
+    ] {
+        d.float(v);
+    }
+    d.word(r.decoded_direction as u64);
+    d.word(r.delivered.len() as u64);
+    r.delivered.iter().for_each(|&b| d.word(u64::from(b)));
+    for v in [r.ber, r.airtime_s, r.node_energy_j] {
+        d.float(v);
+    }
+    d.float(rng.sample(1.0));
+}
+
+/// The §7 packet session: the four-packet grid (downlink, uplink, empty
+/// downlink, 24-byte uplink) at 4 m on per-trial streams of root seed
+/// `0x5E55`, then four seeded packets at 3 m, both scenes at 12°. The value
+/// was computed while the session still ran on the event engine with a
+/// bit-identical synchronous twin, so it pins what both produced.
+#[test]
+fn session_digest_is_pinned() {
+    let session = |d: f64| {
+        Session::new(
+            SystemConfig::milback_default(),
+            Scene::indoor(d, 12f64.to_radians()),
+        )
+        .unwrap()
+    };
+    let mut d = Digest::new();
+    let grid = session(4.0);
+    for trial in 0..4u64 {
+        let packet = match trial {
+            0 => Packet::downlink(vec![0xA5; 12]),
+            1 => Packet::uplink(vec![0x42; 16]),
+            2 => Packet::downlink(Vec::new()),
+            _ => Packet::uplink((0..24).collect::<Vec<u8>>()),
+        };
+        // The trial-parallel runner's per-trial stream seed.
+        let mut rng = GaussianSource::new(0x5E55 ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let report = grid.run_packet(&packet, &mut rng).unwrap();
+        session_digest(&mut d, &report, &mut rng);
+    }
+    let near = session(3.0);
+    for (seed, packet) in [
+        (0xA11CE, Packet::downlink(b"parity downlink".to_vec())),
+        (0xB0B, Packet::uplink(b"parity uplink".to_vec())),
+        (7, Packet::downlink(vec![])),
+        (8, Packet::uplink(vec![0xFF; 128])),
+    ] {
+        let mut rng = GaussianSource::new(seed);
+        let report = near.run_packet(&packet, &mut rng).unwrap();
+        session_digest(&mut d, &report, &mut rng);
+    }
+    assert_eq!(d.0, 0x2a85aa2d157b11da, "session digest");
 }

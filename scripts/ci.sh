@@ -22,7 +22,8 @@
 #      JSONL files (monotone time_ps, no NaN/inf), and the combined Chrome
 #      trace JSON
 #  12. the telemetry-off build (--no-default-features): milback-core's
-#      and milback-bench's tests pass, the reduced anchors survive, and no
+#      and milback-bench's tests pass, clippy is clean on both crates with
+#      warnings promoted to errors, the reduced anchors survive, and no
 #      metrics artifact is written
 #  13. the net_scale_city sharded sweep in reduced mode (4+ cells, ~10³
 #      nodes) + schema validation of its full-scale CSV anchor, which must
@@ -294,6 +295,7 @@ rm -rf "$TRACE_DIR"
 echo "==> [12/17] telemetry-off build (--no-default-features) passes the anchor gates"
 cargo test --release -p milback-core --no-default-features -q
 cargo test --release -p milback-bench --no-default-features -q
+cargo clippy --release -p milback-core -p milback-bench --no-default-features --all-targets -- -D warnings
 cargo build --release -p milback-bench --no-default-features
 rm -f "$METRICS"
 before=$(sha256sum "$MAC_CSV")
