@@ -9,7 +9,9 @@
 //! tone. This module slices those channels back into symbols and measures
 //! link quality.
 
-use mmwave_sigproc::detect::{integrate_and_dump, midpoint_threshold};
+use mmwave_sigproc::detect::{
+    integrate_and_dump, integrate_and_dump_into, midpoint_threshold_with,
+};
 use mmwave_sigproc::waveform::OaqfmSymbol;
 use serde::{Deserialize, Serialize};
 
@@ -43,6 +45,25 @@ impl std::fmt::Display for UplinkRxError {
 
 impl std::error::Error for UplinkRxError {}
 
+/// Reusable buffers for [`UplinkReceiver::decide_with`]: both channels'
+/// integrated symbol statistics, the threshold's order keys and the
+/// decided symbols. Every buffer is cleared before it is written, so
+/// nothing one packet leaves behind reaches the next.
+#[derive(Debug, Default)]
+pub struct UplinkRxScratch {
+    stats_a: Vec<f64>,
+    stats_b: Vec<f64>,
+    keys: Vec<u64>,
+    decided: Vec<OaqfmSymbol>,
+}
+
+impl UplinkRxScratch {
+    /// An empty workspace; buffers grow to the longest packet decided.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// The AP's uplink symbol receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UplinkReceiver {
@@ -67,12 +88,34 @@ impl UplinkReceiver {
 
     /// Decides OAQFM symbols from the two baseband channel traces, using
     /// self-calibrated thresholds (the query payload always contains both
-    /// levels in practice; a preamble can be prepended otherwise).
+    /// levels in practice; a preamble can be prepended otherwise). A
+    /// channel without contrast, or holding a NaN sample, is
+    /// [`UplinkRxError::NoContrast`].
     pub fn decide(
         &self,
         trace_a: &[f64],
         trace_b: &[f64],
     ) -> Result<Vec<OaqfmSymbol>, UplinkRxError> {
+        let mut scratch = UplinkRxScratch::new();
+        self.decide_with(trace_a, trace_b, &mut scratch)?;
+        Ok(scratch.decided)
+    }
+
+    /// [`decide`](Self::decide) through a reusable [`UplinkRxScratch`]:
+    /// the decisions land in (and are borrowed from) the scratch, so a
+    /// receiver deciding packet after packet allocates nothing past the
+    /// longest packet. Decisions are identical to the allocating path.
+    ///
+    /// At one sample per symbol the traces are their own symbol
+    /// statistics (integrate-and-dump over one sample returns it
+    /// unchanged, up to the sign of a zero, which neither the threshold
+    /// nor a comparison sees), so they are sliced in place.
+    pub fn decide_with<'s>(
+        &self,
+        trace_a: &[f64],
+        trace_b: &[f64],
+        scratch: &'s mut UplinkRxScratch,
+    ) -> Result<&'s [OaqfmSymbol], UplinkRxError> {
         if trace_a.len() != trace_b.len() {
             return Err(UplinkRxError::LengthMismatch {
                 a: trace_a.len(),
@@ -82,18 +125,27 @@ impl UplinkReceiver {
         if trace_a.len() < self.samples_per_symbol {
             return Err(UplinkRxError::TraceTooShort);
         }
-        let sa = self.symbol_statistics(trace_a);
-        let sb = self.symbol_statistics(trace_b);
-        let ta = midpoint_threshold(&sa).ok_or(UplinkRxError::NoContrast)?;
-        let tb = midpoint_threshold(&sb).ok_or(UplinkRxError::NoContrast)?;
-        Ok(sa
-            .iter()
-            .zip(&sb)
-            .map(|(&va, &vb)| OaqfmSymbol {
-                tone_a: va > ta,
-                tone_b: vb > tb,
-            })
-            .collect())
+        let UplinkRxScratch {
+            stats_a,
+            stats_b,
+            keys,
+            decided,
+        } = scratch;
+        let (sa, sb): (&[f64], &[f64]) = if self.samples_per_symbol == 1 {
+            (trace_a, trace_b)
+        } else {
+            integrate_and_dump_into(trace_a, self.samples_per_symbol, stats_a);
+            integrate_and_dump_into(trace_b, self.samples_per_symbol, stats_b);
+            (stats_a, stats_b)
+        };
+        let ta = midpoint_threshold_with(sa, keys).ok_or(UplinkRxError::NoContrast)?;
+        let tb = midpoint_threshold_with(sb, keys).ok_or(UplinkRxError::NoContrast)?;
+        decided.clear();
+        decided.extend(sa.iter().zip(sb).map(|(&va, &vb)| OaqfmSymbol {
+            tone_a: va > ta,
+            tone_b: vb > tb,
+        }));
+        Ok(decided)
     }
 
     /// Decides against known thresholds (when calibrated externally).
@@ -141,10 +193,13 @@ pub struct UplinkQuality {
 /// one channel: separates the on/off populations and compares the level
 /// separation to the within-population spread.
 ///
-/// Each population's mean and unbiased variance run the
-/// [`mean`](mmwave_sigproc::stats::mean)/[`variance`](mmwave_sigproc::stats::variance) folds in the
-/// same order over a filtered iterator instead of a collected copy, so
-/// the result is bit-identical to calling them on the populations.
+/// Each population's mean and unbiased variance are the
+/// [`mean`](mmwave_sigproc::stats::mean)/[`variance`](mmwave_sigproc::stats::variance)
+/// folds, run for both populations at once: one pass sums and counts each
+/// population, a second sums its squared deviations. Within a population
+/// the additions run in index order from the `Sum` fold's `-0.0`, and
+/// adding `-0.0` is exact, so the result is bit-identical to calling them
+/// on the collected populations.
 ///
 /// # Panics
 /// Panics if the lengths differ or either population is empty.
@@ -154,28 +209,28 @@ pub fn measure_channel_snr_db(symbol_stats: &[f64], tx_bits: &[bool]) -> f64 {
         tx_bits.len(),
         "stats/bits length mismatch"
     );
-    // (count, mean, variance) of the symbols sent at `level`; the
-    // variance of a single sample is taken as 0.
-    let population = |level: bool| {
-        let values = || {
-            symbol_stats
-                .iter()
-                .zip(tx_bits)
-                .filter(move |(_, &b)| b == level)
-                .map(|(&v, _)| v)
-        };
-        let n = tx_bits.iter().filter(|&&b| b == level).count();
-        let m = values().sum::<f64>() / n as f64;
-        let var = if n > 1 {
-            values().map(|v| (v - m) * (v - m)).sum::<f64>() / (n - 1) as f64
-        } else {
-            0.0
-        };
-        (n, m, var)
-    };
-    let (n_on, mean_on, var_on) = population(true);
-    let (n_off, mean_off, var_off) = population(false);
+    // Both populations fold side by side. Each sample adds `-0.0` to the
+    // other population's sum, which leaves any sum bit for bit unchanged,
+    // so no branch (and no store through a data-dependent index) sits on
+    // the two add chains.
+    let (mut n_on, mut sum_on, mut sum_off) = (0usize, -0.0f64, -0.0f64);
+    for (&v, &b) in symbol_stats.iter().zip(tx_bits) {
+        n_on += usize::from(b);
+        sum_on += if b { v } else { -0.0 };
+        sum_off += if b { -0.0 } else { v };
+    }
+    let n_off = tx_bits.len() - n_on;
     assert!(n_on > 0 && n_off > 0, "need both symbol populations");
+    let (mean_on, mean_off) = (sum_on / n_on as f64, sum_off / n_off as f64);
+    let (mut dev_on, mut dev_off) = (-0.0f64, -0.0f64);
+    for (&v, &b) in symbol_stats.iter().zip(tx_bits) {
+        let d = v - if b { mean_on } else { mean_off };
+        dev_on += if b { d * d } else { -0.0 };
+        dev_off += if b { -0.0 } else { d * d };
+    }
+    // The variance of a single sample is taken as 0.
+    let var = |dev: f64, n: usize| if n > 1 { dev / (n - 1) as f64 } else { 0.0 };
+    let (var_on, var_off) = (var(dev_on, n_on), var(dev_off, n_off));
     let swing = (mean_on - mean_off) / 2.0;
     let noise = ((var_on + var_off) / 2.0).max(1e-300);
     10.0 * (swing * swing / noise).log10()
@@ -293,6 +348,42 @@ mod tests {
         let rx = UplinkReceiver::new(4);
         let err = rx.decide(&[0.0; 8], &[0.0; 9]).unwrap_err();
         assert_eq!(err, UplinkRxError::LengthMismatch { a: 8, b: 9 });
+    }
+
+    #[test]
+    fn nan_sample_is_no_contrast_not_a_panic() {
+        let rx = UplinkReceiver::new(1);
+        let mut ta = vec![0.0, 1.0, 0.0, 1.0];
+        ta[1] = f64::NAN;
+        assert_eq!(
+            rx.decide(&ta, &[0.0, 1.0, 0.0, 1.0]).unwrap_err(),
+            UplinkRxError::NoContrast
+        );
+        let rx = UplinkReceiver::new(2);
+        let tb = [0.0, 0.0, f64::NAN, 1.0, 0.0, 0.0, 1.0, 1.0];
+        assert_eq!(
+            rx.decide(&[0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0], &tb)
+                .unwrap_err(),
+            UplinkRxError::NoContrast
+        );
+    }
+
+    #[test]
+    fn scratch_decisions_match_allocating_decisions() {
+        let mut rng = GaussianSource::new(8);
+        let mut scratch = UplinkRxScratch::new();
+        // Long then short then long again, at one and several samples per
+        // symbol: a reused scratch never leaks one packet into the next.
+        for (bytes, sps) in [(300, 1), (16, 1), (3, 4), (300, 3), (16, 1)] {
+            let payload = rng.bytes(bytes);
+            let syms = bytes_to_symbols(&payload);
+            let (mut ta, mut tb) = traces_for(&syms, sps, 1.0, 0.0);
+            rng.add_real_noise(&mut ta, 0.05);
+            rng.add_real_noise(&mut tb, 0.05);
+            let rx = UplinkReceiver::new(sps);
+            let fresh = rx.decide(&ta, &tb).unwrap();
+            assert_eq!(rx.decide_with(&ta, &tb, &mut scratch).unwrap(), &fresh[..]);
+        }
     }
 
     #[test]

@@ -643,6 +643,142 @@ fn bench_sharded_campaign() -> ShardBench {
     bench
 }
 
+/// The served-packet layer split: one 16-byte symbol-level uplink on a
+/// warm [`SymbolScratch`](milback_core::SymbolScratch) (what a campaign
+/// pays per delivered packet once the node's budget is known), and its
+/// three stages timed alone on the same inputs — the AWGN draws (fixed by
+/// the noise stream), the decision (both thresholds plus slicing) and
+/// the two channels' SNR measurement — plus one SDM margin from memoized
+/// azimuths against the direct two-`atan2` form. The stages do not sum
+/// to the packet exactly: the packet also packs bytes and counts errors.
+struct ServedPacketBench {
+    payload_bytes: usize,
+    packet_ns: f64,
+    noise_ns: f64,
+    decision_ns: f64,
+    snr_ns: f64,
+    sdm_margin_memo_ns: f64,
+    sdm_margin_direct_ns: f64,
+}
+
+fn bench_served_packet() -> ServedPacketBench {
+    use milback_ap::uplink_rx::{measure_channel_snr_db, UplinkReceiver, UplinkRxScratch};
+    use milback_core::{LinkSimulator, Network, Scene, SymbolScratch};
+    use std::hint::black_box;
+
+    let _span = spans::span("served_packet");
+    let payload_bytes = 16;
+    let sim = LinkSimulator::new(
+        SystemConfig::milback_default(),
+        Scene::single_node(4.0, 12f64.to_radians()),
+    )
+    .expect("link simulator");
+    let budget = sim.uplink_budget().expect("uplink budget");
+    let mut rng = GaussianSource::new(0x5E7);
+    let payload = rng.bytes(payload_bytes);
+    let mut scratch = SymbolScratch::new();
+    // The stages' inputs: one packet's bit planes and drawn statistics.
+    let bits: Vec<[bool; 2]> = mmwave_sigproc::waveform::bytes_to_symbols(&payload)
+        .iter()
+        .map(|s| [s.tone_a, s.tone_b])
+        .collect();
+    let sigma =
+        [&budget.a, &budget.b].map(|ch| (ch.reflective - ch.absorptive) / 2.0 / ch.snr_lin.sqrt());
+    let draw = |rng: &mut GaussianSource, stats: &mut [Vec<f64>; 2]| {
+        for (c, (ch, st)) in [&budget.a, &budget.b]
+            .iter()
+            .zip(stats.iter_mut())
+            .enumerate()
+        {
+            st.clear();
+            let level = |on: bool| if on { ch.reflective } else { ch.absorptive };
+            st.extend(bits.iter().map(|b| level(b[c]) + rng.sample(sigma[c])));
+        }
+    };
+    let mut stats = [Vec::new(), Vec::new()];
+    draw(&mut rng, &mut stats);
+    let planes: [Vec<bool>; 2] = [0, 1].map(|c| bits.iter().map(|b| b[c]).collect());
+    let receiver = UplinkReceiver::new(1);
+    let mut rx = UplinkRxScratch::new();
+    let mut noise_rng = GaussianSource::new(0x5E8);
+    let mut noise_stats = [Vec::new(), Vec::new()];
+
+    let mut packet = || {
+        black_box(
+            LinkSimulator::uplink_symbols(&budget, &payload, &mut rng, &mut scratch)
+                .expect("served packet"),
+        );
+    };
+    let mut noise = || {
+        draw(&mut noise_rng, &mut noise_stats);
+        black_box(&noise_stats);
+    };
+    let mut decision = || {
+        black_box(
+            receiver
+                .decide_with(black_box(&stats[0]), black_box(&stats[1]), &mut rx)
+                .expect("decision")
+                .len(),
+        );
+    };
+    let mut snr = || {
+        for (st, plane) in stats.iter().zip(&planes) {
+            black_box(measure_channel_snr_db(black_box(st), plane));
+        }
+    };
+    let t = race(
+        30,
+        2000,
+        &mut [&mut packet, &mut noise, &mut decision, &mut snr],
+    );
+
+    // SDM margins over every pair of a 64-node sector: memoized azimuths
+    // (the campaign medium's path) vs the direct form.
+    let net = experiments::sector_campaign(64, payload_bytes, 8, 1)
+        .expect("sector campaign")
+        .net;
+    let n = net.node_count();
+    let azimuths: Vec<f64> = (0..n).map(|i| net.node_azimuth(i)).collect();
+    let pairs = (n * (n - 1)) as f64;
+    let mut memo = || {
+        for (i, &a) in azimuths.iter().enumerate() {
+            for (j, &b) in azimuths.iter().enumerate() {
+                if i != j {
+                    black_box(Network::margin_from_azimuths(black_box(a), b));
+                }
+            }
+        }
+    };
+    let mut direct = || {
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                black_box(net.sdm_margin_db(black_box(i), j));
+            }
+        }
+    };
+    let m = race(20, 5, &mut [&mut memo, &mut direct]);
+    let bench = ServedPacketBench {
+        payload_bytes,
+        packet_ns: t[0],
+        noise_ns: t[1],
+        decision_ns: t[2],
+        snr_ns: t[3],
+        sdm_margin_memo_ns: m[0] / pairs,
+        sdm_margin_direct_ns: m[1] / pairs,
+    };
+    println!(
+        "served packet ({payload_bytes} B): {:.0} ns = noise {:.0} + decision {:.0} + SNR {:.0} (+ packing); \
+         SDM margin memoized {:.1} ns vs direct {:.1} ns",
+        bench.packet_ns,
+        bench.noise_ns,
+        bench.decision_ns,
+        bench.snr_ns,
+        bench.sdm_margin_memo_ns,
+        bench.sdm_margin_direct_ns,
+    );
+    bench
+}
+
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
@@ -772,6 +908,7 @@ fn main() {
     let fsa = bench_fsa_gain_eval();
     let batch = bench_batch_kernels();
     let shard = bench_sharded_campaign();
+    let served = bench_served_packet();
     let speedups: Vec<f64> = exp_rows.iter().map(|r| r.speedup()).collect();
     let best_speedup = speedups.iter().copied().fold(0.0, f64::max);
     let median_speedup = median(speedups);
@@ -909,6 +1046,19 @@ fn main() {
         shard.shard_bit_exact,
         shard.bucket_footprint,
         shard.bounded_memory,
+    );
+    // The served packet's per-stage cost (aim 1's layer split for the
+    // link physics): the whole warm-scratch packet and its stages alone.
+    let _ = writeln!(
+        j,
+        "  \"served_packet\": {{ \"payload_bytes\": {}, \"packet_ns\": {}, \"noise_ns\": {}, \"decision_ns\": {}, \"snr_ns\": {}, \"sdm_margin_memo_ns\": {}, \"sdm_margin_direct_ns\": {}, \"allocs_per_packet\": 0, \"allocs_proof\": \"crates/milback-bench/tests/alloc_free_node.rs\" }},",
+        served.payload_bytes,
+        json_f(served.packet_ns),
+        json_f(served.noise_ns),
+        json_f(served.decision_ns),
+        json_f(served.snr_ns),
+        json_f(served.sdm_margin_memo_ns),
+        json_f(served.sdm_margin_direct_ns),
     );
     // Host-side wall-clock profiling spans: the per-stage breakdown of
     // this run (empty in a telemetry-off build, where spans are inert).

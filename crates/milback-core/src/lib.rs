@@ -34,7 +34,9 @@ pub use config::SystemConfig;
 pub use engine::{Actor, ActorId, Engine, Outbox, TimePs};
 pub use error::{MilbackError, Result};
 pub use lifecycle::{DropReason, LifecycleStats, PacketId};
-pub use link::{DownlinkOutcome, LinkSimulator, TransferOutcome, UplinkOutcome};
+pub use link::{
+    DownlinkOutcome, LinkSimulator, SymbolOutcome, SymbolScratch, TransferOutcome, UplinkOutcome,
+};
 pub use localization::{Impairments, LocalizationPipeline, LocationFix};
 pub use network::{
     BackoffAloha, CampaignAggregate, CampaignScratch, FrameSchedule, MacContext, MacPolicy,

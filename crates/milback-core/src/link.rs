@@ -19,7 +19,7 @@ use crate::config::SystemConfig;
 use crate::error::{MilbackError, Result};
 use crate::scene::Scene;
 use milback_ap::query::QueryPlanner;
-use milback_ap::uplink_rx::{measure_channel_snr_db, symbol_ber, UplinkReceiver};
+use milback_ap::uplink_rx::{measure_channel_snr_db, symbol_ber, UplinkReceiver, UplinkRxScratch};
 use milback_ap::waveform::CarrierSet;
 use milback_node::downlink::{OaqfmDemodulator, SinrReport};
 use milback_node::mode::PortMode;
@@ -30,7 +30,9 @@ use mmwave_rf::channel::received_power_w;
 use mmwave_sigproc::random::GaussianSource;
 use mmwave_sigproc::stats::q_function;
 use mmwave_sigproc::units::{db_to_lin, dbm_to_watts, watts_to_dbm};
-use mmwave_sigproc::waveform::{bytes_to_symbols, symbols_to_bytes, OaqfmSymbol};
+use mmwave_sigproc::waveform::{
+    bytes_to_symbols, bytes_to_symbols_into, symbols_to_bytes, symbols_to_bytes_into, OaqfmSymbol,
+};
 use serde::{Deserialize, Serialize};
 
 /// Result of a downlink transfer.
@@ -68,6 +70,99 @@ pub struct UplinkOutcome {
     pub snr_db: f64,
     /// The analytic (budget) SNR the simulation was anchored to, dB.
     pub analytic_snr_db: f64,
+}
+
+/// The scalar part of a symbol-level uplink's [`UplinkOutcome`]; the
+/// decoded bytes stay in the [`SymbolScratch`] the core ran on
+/// ([`SymbolScratch::decoded`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SymbolOutcome {
+    /// Measured bit error rate.
+    pub ber: f64,
+    /// Measured SNR (mean of the measurable channels), dB.
+    pub snr_db: f64,
+    /// The analytic (budget) SNR, dB.
+    pub analytic_snr_db: f64,
+}
+
+/// Reusable buffers of the symbol-level uplink core
+/// ([`LinkSimulator::uplink_symbols`]), one per worker: a campaign keeps
+/// one in its [`CampaignScratch`](crate::network::CampaignScratch), so a
+/// served packet allocates nothing once the buffers have grown.
+///
+/// The payload's symbols, its two bit planes and whether each plane holds
+/// both levels are rebuilt only when the payload differs from the one
+/// they were built for (a campaign's payload is fixed). Every other
+/// buffer is overwritten by each packet before it is read, so a scratch's
+/// history never reaches a result.
+#[derive(Debug, Default)]
+pub struct SymbolScratch {
+    /// The payload the symbols and planes below were built from.
+    payload: Vec<u8>,
+    symbols: Vec<OaqfmSymbol>,
+    bits_a: Vec<bool>,
+    bits_b: Vec<bool>,
+    /// Whether plane A / plane B holds both levels, i.e. whether that
+    /// channel's SNR is measurable.
+    has_both: [bool; 2],
+    /// Each channel's received samples: the symbol statistics on the
+    /// symbol-level path, the oversampled trace on the waveform path.
+    samples_a: Vec<f64>,
+    samples_b: Vec<f64>,
+    /// The receiver's buffers: order keys and decided symbols.
+    rx: UplinkRxScratch,
+    /// The last packet's decoded bytes.
+    decoded: Vec<u8>,
+}
+
+impl SymbolScratch {
+    /// An empty workspace; buffers grow to the longest payload served.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The bytes the last uplink through this scratch decoded.
+    pub fn decoded(&self) -> &[u8] {
+        &self.decoded
+    }
+
+    /// The last uplink's full outcome: `outcome` with the decoded bytes
+    /// copied out.
+    pub fn outcome(&self, outcome: SymbolOutcome) -> UplinkOutcome {
+        UplinkOutcome {
+            decoded: self.decoded.clone(),
+            ber: outcome.ber,
+            snr_db: outcome.snr_db,
+            analytic_snr_db: outcome.analytic_snr_db,
+        }
+    }
+
+    /// Builds the symbols and bit planes of `payload`, unless they are
+    /// already built for it.
+    fn load_payload(&mut self, payload: &[u8]) {
+        if self.payload == payload {
+            return;
+        }
+        self.payload.clear();
+        self.payload.extend_from_slice(payload);
+        bytes_to_symbols_into(payload, &mut self.symbols);
+        self.bits_a.clear();
+        self.bits_a.extend(self.symbols.iter().map(|s| s.tone_a));
+        self.bits_b.clear();
+        self.bits_b.extend(self.symbols.iter().map(|s| s.tone_b));
+        let both = |bits: &[bool]| bits.iter().any(|&b| b) && bits.iter().any(|&b| !b);
+        self.has_both = [both(&self.bits_a), both(&self.bits_b)];
+    }
+
+    /// Decides the received samples with `receiver`, packs the decoded
+    /// bytes and returns the bit error rate against the payload.
+    fn decide(&mut self, receiver: UplinkReceiver) -> Result<f64> {
+        let decided = receiver
+            .decide_with(&self.samples_a, &self.samples_b, &mut self.rx)
+            .map_err(MilbackError::UplinkRx)?;
+        symbols_to_bytes_into(decided, &mut self.decoded);
+        Ok(symbol_ber(&self.symbols, decided))
+    }
 }
 
 /// One uplink channel's static budget: its analytic SNR and the port's
@@ -481,107 +576,127 @@ impl LinkSimulator {
             )));
         }
         let budget = self.uplink_budget()?;
-        let symbols = bytes_to_symbols(payload);
+        let mut scratch = SymbolScratch::new();
+        scratch.load_payload(payload);
         // Switch settling: one sample of linear transition per boundary.
-        let mk_trace =
-            |ch: &ChannelBudget, tone: fn(&OaqfmSymbol) -> bool, rng: &mut GaussianSource| {
-                let (hi, lo) = (ch.reflective, ch.absorptive);
-                let swing_half = (hi - lo) / 2.0;
-                // Per-sample noise such that the post-integration (mean over
-                // sps samples) noise matches the analytic symbol-level σ.
-                let sigma_sym = swing_half / ch.snr_lin.sqrt();
-                let sigma_sample = sigma_sym * (samples_per_symbol as f64).sqrt();
-                let mut trace = Vec::with_capacity(symbols.len() * samples_per_symbol);
-                let mut prev = lo;
-                for s in &symbols {
-                    let level = if tone(s) { hi } else { lo };
-                    for i in 0..samples_per_symbol {
-                        // First sample of each symbol ramps from the previous
-                        // level (switch settling ≤ one sample at these rates).
-                        let v = if i == 0 { (prev + level) / 2.0 } else { level };
-                        trace.push(v + rng.sample(sigma_sample));
-                    }
-                    prev = level;
+        let mk_trace = |ch: &ChannelBudget,
+                        tone: fn(&OaqfmSymbol) -> bool,
+                        symbols: &[OaqfmSymbol],
+                        trace: &mut Vec<f64>,
+                        rng: &mut GaussianSource| {
+            let (hi, lo) = (ch.reflective, ch.absorptive);
+            let swing_half = (hi - lo) / 2.0;
+            // Per-sample noise such that the post-integration (mean over
+            // sps samples) noise matches the analytic symbol-level σ.
+            let sigma_sym = swing_half / ch.snr_lin.sqrt();
+            let sigma_sample = sigma_sym * (samples_per_symbol as f64).sqrt();
+            trace.clear();
+            let mut prev = lo;
+            for s in symbols {
+                let level = if tone(s) { hi } else { lo };
+                for i in 0..samples_per_symbol {
+                    // First sample of each symbol ramps from the previous
+                    // level (switch settling ≤ one sample at these rates).
+                    let v = if i == 0 { (prev + level) / 2.0 } else { level };
+                    trace.push(v + rng.sample(sigma_sample));
                 }
-                trace
-            };
-        let ta = mk_trace(&budget.a, |s| s.tone_a, rng);
-        let tb = mk_trace(&budget.b, |s| s.tone_b, rng);
-        let receiver = UplinkReceiver::new(samples_per_symbol);
-        let decided = receiver.decide(&ta, &tb).map_err(MilbackError::UplinkRx)?;
-        let ber = symbol_ber(&symbols, &decided);
+                prev = level;
+            }
+        };
+        mk_trace(
+            &budget.a,
+            |s| s.tone_a,
+            &scratch.symbols,
+            &mut scratch.samples_a,
+            rng,
+        );
+        mk_trace(
+            &budget.b,
+            |s| s.tone_b,
+            &scratch.symbols,
+            &mut scratch.samples_b,
+            rng,
+        );
+        let ber = scratch.decide(UplinkReceiver::new(samples_per_symbol))?;
         let analytic_db = (budget.a.snr_db + budget.b.snr_db) / 2.0;
-        Ok(UplinkOutcome {
-            decoded: symbols_to_bytes(&decided),
+        Ok(scratch.outcome(SymbolOutcome {
             ber,
             snr_db: analytic_db,
             analytic_snr_db: analytic_db,
-        })
+        }))
     }
 
     /// Runs a symbol-level Monte-Carlo uplink transfer of `payload`: the
     /// node's [`uplink_budget`](Self::uplink_budget), then
-    /// [`uplink_symbols`](Self::uplink_symbols).
+    /// [`uplink_symbols`](Self::uplink_symbols) on a fresh
+    /// [`SymbolScratch`].
     pub fn uplink(&self, payload: &[u8], rng: &mut GaussianSource) -> Result<UplinkOutcome> {
-        Self::uplink_symbols(&self.uplink_budget()?, payload, rng)
+        let budget = self.uplink_budget()?;
+        let mut scratch = SymbolScratch::new();
+        let outcome = Self::uplink_symbols(&budget, payload, rng, &mut scratch)?;
+        Ok(scratch.outcome(outcome))
     }
 
     /// The per-packet half of a symbol-level uplink: draws each channel's
     /// symbol statistics (reflection level per switch state plus AWGN
     /// anchored to the budget's SNR, channel A then channel B), decides
-    /// them and measures the SNR. The one symbol core behind every
+    /// them and measures the SNR, all in `scratch`; the decoded bytes are
+    /// left in [`SymbolScratch::decoded`]. The one symbol core behind every
     /// symbol-level uplink — `inline(never)` so no caller gets its own
-    /// differently-optimized copy. An empty payload transfers nothing and
-    /// reports channel A's analytic SNR.
+    /// differently-optimized copy. With a scratch that has served the
+    /// payload before, it does not touch the heap. An empty payload
+    /// transfers nothing and reports channel A's analytic SNR.
     #[inline(never)]
     pub fn uplink_symbols(
         budget: &UplinkBudget,
         payload: &[u8],
         rng: &mut GaussianSource,
-    ) -> Result<UplinkOutcome> {
+        scratch: &mut SymbolScratch,
+    ) -> Result<SymbolOutcome> {
         if payload.is_empty() {
-            return Ok(UplinkOutcome {
-                decoded: Vec::new(),
+            scratch.decoded.clear();
+            return Ok(SymbolOutcome {
                 ber: 0.0,
                 snr_db: budget.a.snr_db,
                 analytic_snr_db: budget.a.snr_db,
             });
         }
-        let symbols = bytes_to_symbols(payload);
-        let bits_a: Vec<bool> = symbols.iter().map(|s| s.tone_a).collect();
-        let bits_b: Vec<bool> = symbols.iter().map(|s| s.tone_b).collect();
-        let mk_channel = |ch: &ChannelBudget, bits: &[bool], rng: &mut GaussianSource| {
-            let swing_half = (ch.reflective - ch.absorptive) / 2.0;
-            let sigma = swing_half / ch.snr_lin.sqrt();
-            bits.iter()
-                .map(|&on| if on { ch.reflective } else { ch.absorptive } + rng.sample(sigma))
-                .collect::<Vec<f64>>()
-        };
-        let stats_a = mk_channel(&budget.a, &bits_a, rng);
-        let stats_b = mk_channel(&budget.b, &bits_b, rng);
-        let receiver = UplinkReceiver::new(1);
-        let decided = receiver
-            .decide(&stats_a, &stats_b)
-            .map_err(MilbackError::UplinkRx)?;
-        let ber = symbol_ber(&symbols, &decided);
+        scratch.load_payload(payload);
+        let draw =
+            |ch: &ChannelBudget, bits: &[bool], stats: &mut Vec<f64>, rng: &mut GaussianSource| {
+                let swing_half = (ch.reflective - ch.absorptive) / 2.0;
+                let sigma = swing_half / ch.snr_lin.sqrt();
+                stats.clear();
+                stats.extend(
+                    bits.iter().map(
+                        |&on| if on { ch.reflective } else { ch.absorptive } + rng.sample(sigma),
+                    ),
+                );
+            };
+        draw(&budget.a, &scratch.bits_a, &mut scratch.samples_a, rng);
+        draw(&budget.b, &scratch.bits_b, &mut scratch.samples_b, rng);
+        let ber = scratch.decide(UplinkReceiver::new(1))?;
         // Measured SNR from the symbol populations. A channel whose payload
         // happens to contain only one level cannot be measured; fall back
         // to the channels that can (and to the analytic figure if neither).
         let analytic_db = 10.0 * ((budget.a.snr_lin + budget.b.snr_lin) / 2.0).log10();
-        let mut channel_snrs = Vec::with_capacity(2);
-        for (stats, bits) in [(&stats_a, &bits_a), (&stats_b, &bits_b)] {
-            let has_both = bits.iter().any(|&b| b) && bits.iter().any(|&b| !b);
+        let mut channel_snrs = [0.0; 2];
+        let mut measured_channels = 0;
+        for (stats, bits, has_both) in [
+            (&scratch.samples_a, &scratch.bits_a, scratch.has_both[0]),
+            (&scratch.samples_b, &scratch.bits_b, scratch.has_both[1]),
+        ] {
             if has_both {
-                channel_snrs.push(measure_channel_snr_db(stats, bits));
+                channel_snrs[measured_channels] = measure_channel_snr_db(stats, bits);
+                measured_channels += 1;
             }
         }
-        let measured = if channel_snrs.is_empty() {
+        let measured = if measured_channels == 0 {
             analytic_db
         } else {
-            mmwave_sigproc::stats::mean(&channel_snrs)
+            mmwave_sigproc::stats::mean(&channel_snrs[..measured_channels])
         };
-        Ok(UplinkOutcome {
-            decoded: symbols_to_bytes(&decided),
+        Ok(SymbolOutcome {
             ber,
             snr_db: measured,
             analytic_snr_db: analytic_db,
@@ -866,16 +981,20 @@ mod tests {
         let mut rng = GaussianSource::new(34);
         let one_shot = s.uplink(&payload, &mut rng).unwrap();
         let mut rng = GaussianSource::new(34);
-        let cored = LinkSimulator::uplink_symbols(&budget, &payload, &mut rng).unwrap();
+        let mut scratch = SymbolScratch::new();
+        let cored =
+            LinkSimulator::uplink_symbols(&budget, &payload, &mut rng, &mut scratch).unwrap();
+        let cored = scratch.outcome(cored);
         assert_eq!(one_shot, cored);
         assert_eq!(one_shot.snr_db.to_bits(), cored.snr_db.to_bits());
         assert_eq!(
             budget.a.snr_db.to_bits(),
             s.uplink_analytic_snr_db().unwrap().to_bits()
         );
-        // An empty payload reports channel A's analytic SNR, as before.
-        let empty = LinkSimulator::uplink_symbols(&budget, &[], &mut rng).unwrap();
-        assert!(empty.decoded.is_empty());
+        // An empty payload reports channel A's analytic SNR, as before,
+        // and leaves no stale decoded bytes behind.
+        let empty = LinkSimulator::uplink_symbols(&budget, &[], &mut rng, &mut scratch).unwrap();
+        assert!(scratch.decoded().is_empty());
         assert_eq!(empty.snr_db.to_bits(), budget.a.snr_db.to_bits());
     }
 

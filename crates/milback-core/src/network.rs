@@ -7,7 +7,7 @@ use crate::config::SystemConfig;
 use crate::engine::{ps_to_secs, Actor, ActorId, Engine, Outbox, TimePs};
 use crate::error::{MilbackError, Result};
 use crate::lifecycle::{DropReason, LifecycleStats, PacketId};
-use crate::link::{LinkSimulator, UplinkBudget, UplinkOutcome};
+use crate::link::{LinkSimulator, SymbolScratch, UplinkBudget, UplinkOutcome};
 use crate::pipeline::{ApServiceConfig, ApServiceStats, OverflowPolicy, StageKind};
 use crate::protocol::{Packet, SlotPlan};
 use crate::relay::RelayConfig;
@@ -74,11 +74,22 @@ impl Network {
     /// pattern steered at each node.
     pub fn sdm_margin_db(&self, idx: usize, other: usize) -> f64 {
         assert!(idx != other, "a node does not interfere with itself");
-        // Only the two azimuths matter: the `azimuth_to` that
-        // `Scene::ground_truth` runs, without its range and incidence.
-        let ap = &self.scene.ap;
-        let azimuth_i = ap.azimuth_to(self.scene.nodes[idx].position);
-        let azimuth_o = ap.azimuth_to(self.scene.nodes[other].position);
+        Self::margin_from_azimuths(self.node_azimuth(idx), self.node_azimuth(other))
+    }
+
+    /// Node `idx`'s azimuth off the AP boresight, radians: the
+    /// `azimuth_to` that `Scene::ground_truth` runs, without its range and
+    /// incidence. The only per-node input of the SDM margin, so a caller
+    /// that evaluates many pairs can compute it once per node.
+    pub fn node_azimuth(&self, idx: usize) -> f64 {
+        self.scene.ap.azimuth_to(self.scene.nodes[idx].position)
+    }
+
+    /// The SDM margin formula of [`sdm_margin_db`](Self::sdm_margin_db),
+    /// dB, from the two nodes' [`node_azimuth`](Self::node_azimuth)s: the
+    /// one place it is written, shared by the direct form and every
+    /// memoized caller (the campaign medium, [`SdmAwareAssignment`]).
+    pub fn margin_from_azimuths(azimuth_i: f64, azimuth_o: f64) -> f64 {
         let horn = mmwave_rf::antenna::Horn::miwave_20dbi();
         // Beam steered at node idx: gain toward it is the boresight gain.
         let wanted = horn.gain_dbi(28e9, 0.0);
@@ -520,6 +531,7 @@ impl Network {
             airtime_s,
             power: NodePowerModel::milback_default(),
             nodes,
+            symbols: std::mem::take(&mut scratch.symbols),
             lifecycle: LifecycleStats::new(),
             probe: CampaignProbe::disabled(),
             service: ApServiceStats::default(),
@@ -980,6 +992,8 @@ impl Default for CampaignAggregate {
 #[derive(Debug, Default)]
 pub struct CampaignScratch {
     nodes: Vec<NodeLedger>,
+    /// The served packets' symbol buffers.
+    symbols: SymbolScratch,
 }
 
 impl CampaignScratch {
@@ -991,6 +1005,7 @@ impl CampaignScratch {
     /// Takes a settled medium's ledger back for the next cell.
     fn reclaim(&mut self, m: SlotMedium<'_>) {
         self.nodes = m.nodes;
+        self.symbols = m.symbols;
     }
 }
 
@@ -1070,6 +1085,10 @@ struct NodeLedger {
     /// [`SlotMedium::budget`]). Lazy because a contended city cell serves
     /// most nodes at most once.
     budget: Option<UplinkBudget>,
+    /// The node's AP azimuth, filled the first time an SDM margin needs
+    /// it (see [`SlotMedium::sdm_margin_db`]). Per node rather than per
+    /// pair, so the memo stays linear in the node count.
+    azimuth: Option<f64>,
     /// Drop attribution if the node is a gap node, precomputed once per
     /// run from the relay topology: [`DropReason::HopBudgetExhausted`] or
     /// [`DropReason::NoRelayRoute`]. `None` for covered nodes, and for
@@ -1093,6 +1112,7 @@ impl NodeLedger {
         relay_energy_j: 0.0,
         relay_latency_s: 0.0,
         budget: None,
+        azimuth: None,
         gap_reason: None,
     };
 }
@@ -1110,6 +1130,8 @@ struct SlotMedium<'a> {
     power: NodePowerModel,
     /// One ledger row per node, indexed by node.
     nodes: Vec<NodeLedger>,
+    /// The symbol core's buffers, shared by every packet the run serves.
+    symbols: SymbolScratch,
     /// The run's packet-lifecycle ledger: offered/delivered/dropped
     /// counts and latency sketches (see [`LifecycleStats`]). Recording is
     /// feature-gated, not probe-gated, so plain and probed runs account
@@ -1139,6 +1161,21 @@ impl<'a> SlotMedium<'a> {
         let budget = sim.uplink_budget()?;
         self.nodes[node].budget = Some(budget);
         Ok(budget)
+    }
+
+    /// [`Network::sdm_margin_db`] from the nodes' memoized azimuths: each
+    /// node's `azimuth_to` runs once per campaign, not twice per pair.
+    /// The scene is static over a campaign, so the memo holds exactly
+    /// what the direct form would compute.
+    fn sdm_margin_db(&mut self, node: usize, other: usize) -> f64 {
+        assert!(node != other, "a node does not interfere with itself");
+        Network::margin_from_azimuths(self.azimuth(node), self.azimuth(other))
+    }
+
+    fn azimuth(&mut self, node: usize) -> f64 {
+        *self.nodes[node]
+            .azimuth
+            .get_or_insert_with(|| self.net.node_azimuth(node))
     }
 
     /// Resolves one slot's transmitter group: accounts attempts and uplink
@@ -1182,7 +1219,7 @@ impl<'a> SlotMedium<'a> {
             && group.iter().enumerate().all(|(i, &a)| {
                 group[i + 1..]
                     .iter()
-                    .all(|&b| self.net.sdm_separable(a, b, sdm_threshold_db))
+                    .all(|&b| self.sdm_margin_db(a, b) >= sdm_threshold_db)
             });
         if group.len() > 1 && !separable {
             for &node in group {
@@ -1208,12 +1245,13 @@ impl<'a> SlotMedium<'a> {
         }
         for &node in group {
             let budget = self.budget(node)?;
-            let mut outcome = LinkSimulator::uplink_symbols(&budget, self.payload, self.rng)?;
+            let mut outcome =
+                LinkSimulator::uplink_symbols(&budget, self.payload, self.rng, &mut self.symbols)?;
             if group.len() > 1 {
                 let margin = group
                     .iter()
                     .filter(|&&o| o != node)
-                    .map(|&o| self.net.sdm_margin_db(node, o))
+                    .map(|&o| self.sdm_margin_db(node, o))
                     .fold(f64::INFINITY, f64::min);
                 if margin.is_finite() {
                     let sig = db_to_lin(outcome.snr_db);
@@ -1226,7 +1264,7 @@ impl<'a> SlotMedium<'a> {
             // AP missed it), but nothing lands. The noise draw above stays
             // unconditional so covered nodes see an unchanged stream.
             let row = &mut self.nodes[node];
-            if outcome.decoded == self.payload && row.covered {
+            if self.symbols.decoded() == self.payload && row.covered {
                 row.delivered += 1;
                 row.snr_sum_db += outcome.snr_db;
                 self.lifecycle.deliver_direct(1);
@@ -1302,7 +1340,8 @@ impl<'a> SlotMedium<'a> {
             }
         }
         let budget = self.budget(terminal)?;
-        let mut outcome = LinkSimulator::uplink_symbols(&budget, self.payload, self.rng)?;
+        let mut outcome =
+            LinkSimulator::uplink_symbols(&budget, self.payload, self.rng, &mut self.symbols)?;
         outcome.snr_db -= hop_snr_penalty_db * tag_hops as f64;
         self.probe.inc("relay_fired", 1);
         // The chain's flow id links its hop spans and terminal outcome in
@@ -1321,7 +1360,7 @@ impl<'a> SlotMedium<'a> {
                 dur_ps: hop_dur_ps,
             });
         }
-        if outcome.decoded == self.payload && self.nodes[terminal].covered {
+        if self.symbols.decoded() == self.payload && self.nodes[terminal].covered {
             let row = &mut self.nodes[origin];
             row.delivered += 1;
             row.relayed += 1;
@@ -1826,10 +1865,15 @@ impl MacPolicy for SdmAwareAssignment {
 
     fn begin(&mut self, ctx: &MacContext<'_>, _rng: &mut GaussianSource) {
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for node in 0..ctx.net.node_count() {
+        // Each node's azimuth once, not twice per pair compared.
+        let azimuths: Vec<f64> = (0..ctx.net.node_count())
+            .map(|node| ctx.net.node_azimuth(node))
+            .collect();
+        for (node, &azimuth) in azimuths.iter().enumerate() {
             let fit = groups.iter_mut().find(|g| {
-                g.iter()
-                    .all(|&m| ctx.net.sdm_separable(node, m, ctx.sdm_threshold_db))
+                g.iter().all(|&m| {
+                    Network::margin_from_azimuths(azimuth, azimuths[m]) >= ctx.sdm_threshold_db
+                })
             });
             match fit {
                 Some(g) => g.push(node),
@@ -2703,6 +2747,87 @@ mod tests {
             plan: *plan,
             frames,
             sdm_threshold_db: 20.0,
+        }
+    }
+
+    #[test]
+    fn reused_campaign_scratch_matches_fresh_scratch_bit_for_bit() {
+        // Campaign A (6 SDM-grouped nodes), then B (3 nodes, ALOHA, a
+        // different payload of the same length), then A again, all on
+        // one scratch: a stale bit plane, decoded byte or memoized
+        // azimuth from the previous campaign would show up here.
+        let sector = |n: usize, step_deg: f64| {
+            let mut scene = Scene::single_node(4.0, 12f64.to_radians());
+            for k in 1..n {
+                scene = scene.with_node_at(
+                    4.0 + 0.3 * k as f64,
+                    (k as f64 * step_deg - 20.0).to_radians(),
+                    12f64.to_radians(),
+                );
+            }
+            Network::new(SystemConfig::milback_default(), scene).unwrap()
+        };
+        let (net_a, net_b) = (sector(6, 9.0), sector(3, 23.0));
+        let payload_a: Vec<u8> = (0..16).map(|i| (i * 37 + 5) as u8).collect();
+        let payload_b: Vec<u8> = (0..16).map(|i| (i * 11 + 200) as u8).collect();
+        let run = |net: &Network, payload: &[u8], sdm: bool, scratch: &mut CampaignScratch| {
+            let policy: Box<dyn MacPolicy> = if sdm {
+                Box::new(SdmAwareAssignment::new())
+            } else {
+                Box::new(SlottedAloha::new(3))
+            };
+            let mut agg = CampaignAggregate::new();
+            let mut rng = GaussianSource::new(0x5C4A);
+            net.run_mac_streaming_relay_service(
+                policy,
+                5,
+                payload,
+                &plan_for(net, 4, payload),
+                20.0,
+                &mut rng,
+                &ApServiceConfig::instantaneous(),
+                &RelayConfig::disabled(),
+                scratch,
+                &mut agg,
+            )
+            .unwrap();
+            (agg, rng.sample(1.0).to_bits())
+        };
+        let fresh_a = run(&net_a, &payload_a, true, &mut CampaignScratch::new());
+        let fresh_b = run(&net_b, &payload_b, false, &mut CampaignScratch::new());
+        assert!(fresh_a.0.delivered > 0 && fresh_b.0.delivered > 0);
+        let mut scratch = CampaignScratch::new();
+        for (net, payload, sdm, fresh) in [
+            (&net_a, &payload_a[..], true, &fresh_a),
+            (&net_b, &payload_b[..], false, &fresh_b),
+            (&net_a, &payload_a[..], true, &fresh_a),
+        ] {
+            let reused = run(net, payload, sdm, &mut scratch);
+            assert_eq!(&reused, fresh);
+            for (got, want) in [
+                (reused.0.snr_sum_db, fresh.0.snr_sum_db),
+                (reused.0.energy_j, fresh.0.energy_j),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_sdm_margins_equal_the_direct_form() {
+        let net = two_node_network(25.0).scene.with_node_at(5.0, -0.4, 0.2);
+        let net = Network::new(SystemConfig::milback_default(), net).unwrap();
+        let payload = [1u8; 4];
+        let plan = plan_for(&net, 2, &payload);
+        let mut rng = GaussianSource::new(1);
+        let mut scratch = CampaignScratch::new();
+        let airtime_s = net.slotted_airtime_s(&payload, &plan).unwrap();
+        let mut m = net.slot_medium(1, &plan, &payload, airtime_s, &mut rng, &mut scratch);
+        for (a, b) in [(0, 1), (1, 0), (2, 0), (1, 2), (2, 1)] {
+            assert_eq!(
+                m.sdm_margin_db(a, b).to_bits(),
+                net.sdm_margin_db(a, b).to_bits()
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! normal incidence (f_A = f_B) the scheme degenerates to single-tone OOK
 //! on one detector.
 
-use mmwave_sigproc::detect::{integrate_and_dump, midpoint_threshold};
+use mmwave_sigproc::detect::{integrate_and_dump, midpoint_threshold_with};
 use mmwave_sigproc::stats::mean;
 use mmwave_sigproc::waveform::OaqfmSymbol;
 use serde::{Deserialize, Serialize};
@@ -55,26 +55,35 @@ pub struct Thresholds {
 /// both on and off symbols: midway between the bright and dark levels
 /// (robust 90th/10th percentiles rather than min/max).
 ///
-/// Returns `Err(NoContrast)` when the levels are indistinguishable. The
-/// AP's uplink slicer calibrates the same way: both run
-/// [`midpoint_threshold`].
+/// Returns `Err(NoContrast)` when the levels are indistinguishable or the
+/// trace holds a NaN. The AP's uplink slicer calibrates the same way: both
+/// run [`midpoint_threshold`](mmwave_sigproc::detect::midpoint_threshold).
 pub fn calibrate_threshold(trace: &[f64]) -> Result<f64, DemodError> {
+    calibrate_threshold_with(trace, &mut Vec::new())
+}
+
+/// [`calibrate_threshold`] with a caller-owned order-key buffer (see
+/// [`midpoint_threshold_with`]).
+pub fn calibrate_threshold_with(trace: &[f64], keys: &mut Vec<u64>) -> Result<f64, DemodError> {
     if trace.is_empty() {
         return Err(DemodError::TraceTooShort);
     }
-    midpoint_threshold(trace).ok_or(DemodError::NoContrast)
+    midpoint_threshold_with(trace, keys).ok_or(DemodError::NoContrast)
 }
 
 /// Reusable buffers for the demodulation hot path: per-port symbol
-/// energies. One `DemodScratch` per worker plus the `*_into` entry points
-/// make repeated demodulation allocation-free past the high-water mark,
-/// with decisions identical to the allocating paths.
+/// energies and the threshold calibration's order keys. One
+/// `DemodScratch` per worker plus the `*_into` entry points make repeated
+/// demodulation allocation-free past the high-water mark, with decisions
+/// identical to the allocating paths.
 #[derive(Debug, Default)]
 pub struct DemodScratch {
     /// Port-A symbol energies.
     ea: Vec<f64>,
     /// Port-B symbol energies.
     eb: Vec<f64>,
+    /// Order keys for [`calibrate_threshold_with`].
+    keys: Vec<u64>,
 }
 
 impl DemodScratch {
@@ -198,8 +207,8 @@ impl OaqfmDemodulator {
         out: &mut Vec<OaqfmSymbol>,
     ) -> Result<(), DemodError> {
         let thresholds = Thresholds {
-            a: calibrate_threshold(trace_a)?,
-            b: calibrate_threshold(trace_b)?,
+            a: calibrate_threshold_with(trace_a, &mut scratch.keys)?,
+            b: calibrate_threshold_with(trace_b, &mut scratch.keys)?,
         };
         self.demodulate_into(trace_a, trace_b, thresholds, scratch, out)
     }
@@ -383,6 +392,18 @@ mod tests {
         let demod = OaqfmDemodulator::new(100);
         let err = demod.demodulate_ook(&[0.0; 10], 0.5).unwrap_err();
         assert_eq!(err, DemodError::TraceTooShort);
+    }
+
+    #[test]
+    fn nan_trace_is_an_error_not_a_panic() {
+        let mut trace = vec![0.0, 1.0, 0.0, 1.0];
+        trace[2] = f64::NAN;
+        assert_eq!(calibrate_threshold(&trace), Err(DemodError::NoContrast));
+        let demod = OaqfmDemodulator::new(1);
+        assert_eq!(
+            demod.demodulate_auto(&trace, &[0.0, 1.0, 0.0, 1.0]),
+            Err(DemodError::NoContrast)
+        );
     }
 
     #[test]

@@ -131,10 +131,23 @@ pub fn energy_complex(x: &[Complex]) -> f64 {
 /// # Panics
 /// Panics if `chunk == 0`.
 pub fn integrate_and_dump(x: &[f64], chunk: usize) -> Vec<f64> {
+    let mut out = Vec::new();
+    integrate_and_dump_into(x, chunk, &mut out);
+    out
+}
+
+/// [`integrate_and_dump`] into a caller-owned buffer (cleared first), so a
+/// receiver that decides packet after packet reuses one allocation.
+///
+/// # Panics
+/// Panics if `chunk == 0`.
+pub fn integrate_and_dump_into(x: &[f64], chunk: usize, out: &mut Vec<f64>) {
     assert!(chunk > 0, "chunk size must be positive");
-    x.chunks_exact(chunk)
-        .map(|c| c.iter().sum::<f64>() / chunk as f64)
-        .collect()
+    out.clear();
+    out.extend(
+        x.chunks_exact(chunk)
+            .map(|c| c.iter().sum::<f64>() / chunk as f64),
+    );
 }
 
 /// Above this many multiply-adds the direct O(len_a·len_b) correlation
@@ -205,26 +218,137 @@ pub fn best_lag(a: &[f64], b: &[f64]) -> Option<f64> {
 
 /// Estimates an on/off slicing threshold for a two-level trace: midway
 /// between the robust bright (90th percentile) and dark (10th percentile)
-/// levels. Returns `None` for empty traces or traces with no contrast.
+/// levels. Returns `None` for empty traces, for traces with no contrast
+/// (the levels do not differ by a positive amount, which also covers
+/// levels that are both infinite), and for traces holding a NaN: a NaN
+/// sample has no place in the order, so the trace has no measurable
+/// contrast.
 ///
-/// Both percentiles come from one copy by selection
-/// ([`percentile_select`](crate::stats::percentile_select)), and the
-/// result equals `(percentile(trace, 90) + percentile(trace, 10)) / 2`
-/// bit for bit: the two levels can differ from the sorting path only in
-/// the sign of a zero, and with `hi > lo` a zero operand never sets the
-/// sum.
+/// The result equals `(percentile(trace, 90) + percentile(trace, 10)) / 2`
+/// bit for bit. The order statistics come from
+/// [`order_key`](crate::stats::order_key)s instead of a `partial_cmp`
+/// sort: integer keys sort without branches on ties, and they order the
+/// values exactly as `partial_cmp` does except that every `-0.0` lands
+/// before every `+0.0`, where a stable sort keeps input order. So the two
+/// percentile levels can differ from the sorting path only in the sign of
+/// a zero, and with `hi > lo` a zero operand never sets the sum. (±∞ keys
+/// order like any other value; the same interpolation then runs on the
+/// same operands.)
+///
+/// Allocates one key buffer for traces longer than 71 samples; see
+/// [`midpoint_threshold_with`] to reuse one.
 pub fn midpoint_threshold(trace: &[f64]) -> Option<f64> {
-    if trace.is_empty() {
+    midpoint_threshold_with(trace, &mut Vec::new())
+}
+
+/// [`midpoint_threshold`] with a caller-owned key buffer. Traces of up to
+/// 71 samples (a 16-byte packet is 64 symbols) need only the eight least
+/// and eight greatest keys, which comparator networks find without
+/// touching `keys`; longer traces sort all their keys in it.
+pub fn midpoint_threshold_with(trace: &[f64], keys: &mut Vec<u64>) -> Option<f64> {
+    use crate::stats::{from_order_key, interpolate_ranks};
+    let n = trace.len();
+    if n == 0 {
         return None;
     }
-    let mut v = trace.to_vec();
-    let hi = crate::stats::percentile_select(&mut v, 90.0);
-    let lo = crate::stats::percentile_select(&mut v, 10.0);
-    if hi - lo <= 0.0 {
-        None
+    let rank = |p: f64| p / 100.0 * (n - 1) as f64;
+    let (hi, lo) = if rank(10.0).ceil() < 8.0 && (n - 1) as f64 - rank(90.0).floor() < 8.0 {
+        // `least[r]` is rank r; `greatest` holds ranks n−8..n ascending.
+        let (least, greatest) = tails_of_eight(trace)?;
+        (
+            interpolate_ranks(n, 90.0, |r| from_order_key(greatest[r + 8 - n])),
+            interpolate_ranks(n, 10.0, |r| from_order_key(least[r])),
+        )
     } else {
-        Some((hi + lo) / 2.0)
+        if trace.iter().any(|x| x.is_nan()) {
+            return None;
+        }
+        keys.clear();
+        keys.extend(trace.iter().map(|&x| crate::stats::order_key(x)));
+        keys.sort_unstable();
+        (
+            interpolate_ranks(n, 90.0, |r| from_order_key(keys[r])),
+            interpolate_ranks(n, 10.0, |r| from_order_key(keys[r])),
+        )
+    };
+    // A NaN difference (both levels +∞, or a −∞/+∞ interpolation) is no
+    // contrast either.
+    (hi - lo > 0.0).then(|| (hi + lo) / 2.0)
+}
+
+/// The eight least and the eight greatest [`order_key`](crate::stats::order_key)s
+/// of `trace`, each ascending, or `None` if the trace holds a NaN. Slots
+/// the trace cannot fill (fewer than eight samples) hold `u64::MAX` in
+/// the first array and `0` in the second — keys no non-NaN value maps
+/// to.
+///
+/// Each block of eight keys is sorted by Knuth's 19-comparator network and
+/// merged into both running tails: the element-wise minimum (maximum) of
+/// a sorted tail and the reversed sorted block is a bitonic sequence
+/// holding the eight least (greatest) of the sixteen, and a 12-comparator
+/// bitonic merger sorts it. Every comparator is a branch-free min/max on
+/// fixed slots, so the cost does not depend on the data.
+fn tails_of_eight(trace: &[f64]) -> Option<([u64; 8], [u64; 8])> {
+    let mut least = [u64::MAX; 8];
+    let mut greatest = [0u64; 8];
+    let mut nan = false;
+    for chunk in trace.chunks(8) {
+        let mut block = [u64::MAX; 8];
+        for (slot, &x) in block.iter_mut().zip(chunk) {
+            nan |= x.is_nan();
+            *slot = crate::stats::order_key(x);
+        }
+        sort8(&mut block);
+        for (i, slot) in least.iter_mut().enumerate() {
+            *slot = (*slot).min(block[7 - i]);
+        }
+        merge_bitonic8(&mut least);
+        if chunk.len() < 8 {
+            // The padding must lose to every key on this side too: the
+            // sorted keys move to the top, zeros fill in below.
+            let len = chunk.len();
+            block.copy_within(..len, 8 - len);
+            block[..8 - len].fill(0);
+        }
+        for (i, slot) in greatest.iter_mut().enumerate() {
+            *slot = (*slot).max(block[7 - i]);
+        }
+        merge_bitonic8(&mut greatest);
     }
+    (!nan).then_some((least, greatest))
+}
+
+/// One comparator: slot `i` takes the smaller key, slot `j` the larger.
+#[inline(always)]
+fn compare_exchange(a: &mut [u64; 8], i: usize, j: usize) {
+    let (x, y) = (a[i], a[j]);
+    a[i] = x.min(y);
+    a[j] = x.max(y);
+}
+
+/// Sorts eight keys ascending with the optimal 19-comparator network
+/// (written out: a loop over a comparator table is not fully unrolled).
+#[inline(always)]
+#[rustfmt::skip]
+fn sort8(a: &mut [u64; 8]) {
+    let cx = compare_exchange;
+    cx(a, 0, 2); cx(a, 1, 3); cx(a, 4, 6); cx(a, 5, 7);
+    cx(a, 0, 4); cx(a, 1, 5); cx(a, 2, 6); cx(a, 3, 7);
+    cx(a, 0, 1); cx(a, 2, 3); cx(a, 4, 5); cx(a, 6, 7);
+    cx(a, 2, 4); cx(a, 3, 5);
+    cx(a, 1, 4); cx(a, 3, 6);
+    cx(a, 1, 2); cx(a, 3, 4); cx(a, 5, 6);
+}
+
+/// Sorts a bitonic sequence of eight keys ascending (half-cleaners of
+/// span 4, 2, 1).
+#[inline(always)]
+#[rustfmt::skip]
+fn merge_bitonic8(a: &mut [u64; 8]) {
+    let cx = compare_exchange;
+    cx(a, 0, 4); cx(a, 1, 5); cx(a, 2, 6); cx(a, 3, 7);
+    cx(a, 0, 2); cx(a, 1, 3); cx(a, 4, 6); cx(a, 5, 7);
+    cx(a, 0, 1); cx(a, 2, 3); cx(a, 4, 5); cx(a, 6, 7);
 }
 
 /// Simple hysteresis comparator (Schmitt trigger) converting an analog
@@ -271,6 +395,58 @@ impl SchmittTrigger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn midpoint_threshold_rejects_nan_instead_of_panicking() {
+        assert_eq!(midpoint_threshold(&[1.0, f64::NAN]), None);
+        assert_eq!(midpoint_threshold(&[f64::NAN]), None);
+        // Past the sorting-network length too.
+        let mut long: Vec<f64> = (0..200).map(|i| f64::from(i % 2)).collect();
+        assert_eq!(midpoint_threshold(&long), Some(0.5));
+        long[7] = f64::NAN;
+        assert_eq!(midpoint_threshold_with(&long, &mut Vec::new()), None);
+    }
+
+    #[test]
+    fn comparator_networks_sort_every_zero_one_input() {
+        // The zero-one principle: a comparator network that sorts all 2⁸
+        // inputs of 0s and 1s sorts every input.
+        for mask in 0u32..256 {
+            let mut a: [u64; 8] = std::array::from_fn(|i| u64::from(mask >> i & 1));
+            let ones = a.iter().sum::<u64>() as usize;
+            sort8(&mut a);
+            assert!(
+                a.windows(2).all(|w| w[0] <= w[1]),
+                "sort8 {mask:08b}: {a:?}"
+            );
+            assert_eq!(a.iter().sum::<u64>() as usize, ones);
+            // Every bitonic 0/1 sequence: a run of ones, then zeros, then
+            // ones (rotations of a single block of ones cover them).
+            let run = mask as usize % 9;
+            let start = mask as usize / 9 % 8;
+            let mut b: [u64; 8] = std::array::from_fn(|i| u64::from((i + 8 - start) % 8 < run));
+            merge_bitonic8(&mut b);
+            assert!(
+                b.windows(2).all(|w| w[0] <= w[1]),
+                "bitonic {run}@{start}: {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tails_hold_the_extreme_order_statistics() {
+        for n in 1..40usize {
+            let trace: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 23) as f64 - 9.0).collect();
+            let mut keys: Vec<u64> = trace.iter().map(|&x| crate::stats::order_key(x)).collect();
+            keys.sort_unstable();
+            let (least, greatest) = tails_of_eight(&trace).unwrap();
+            let m = n.min(8);
+            assert_eq!(least[..m], keys[..m], "n = {n}");
+            assert_eq!(greatest[8 - m..], keys[n - m..], "n = {n}");
+            assert!(least[m..].iter().all(|&k| k == u64::MAX));
+            assert!(greatest[..8 - m].iter().all(|&k| k == 0));
+        }
+    }
 
     #[test]
     fn find_peak_simple() {

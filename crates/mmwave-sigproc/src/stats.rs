@@ -67,42 +67,46 @@ pub fn percentile(x: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile out of range");
     let mut v = x.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = p / 100.0 * (v.len() - 1) as f64;
+    interpolate_ranks(v.len(), p, |r| v[r])
+}
+
+/// The interpolation step of [`percentile`]: the `p`-th percentile of `n`
+/// samples whose `r`-th smallest value (`r` from 0) is `at(r)`. Reads at
+/// most the two ranks around `p / 100 · (n − 1)`, so a caller that knows
+/// only those order statistics gets [`percentile`]'s exact arithmetic.
+pub(crate) fn interpolate_ranks(n: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
+    let rank = p / 100.0 * (n - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        v[lo]
+        at(lo)
     } else {
         let frac = rank - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 
-/// [`percentile`] by selection instead of a full sort: `O(n)`, no
-/// allocation, and `v` is left reordered. It interpolates the same two
-/// order statistics under the same `partial_cmp` order, so it returns
-/// `percentile(v, p)` bit for bit — up to the sign of a zero result,
-/// because selection is unstable and `-0.0 == 0.0` ties may swap.
-///
-/// # Panics
-/// Panics if `v` is empty or `p` is out of range. `NaN` has no place in
-/// the `partial_cmp` order: comparing one panics, as in [`percentile`].
-pub fn percentile_select(v: &mut [f64], p: f64) -> f64 {
-    assert!(!v.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
-    let order = |a: &f64, b: &f64| a.partial_cmp(b).unwrap();
-    let rank = p / 100.0 * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let (_, &mut v_lo, above) = v.select_nth_unstable_by(lo, order);
-    if lo == hi {
-        v_lo
+/// Maps `x` to an integer key whose unsigned order is `x`'s numeric
+/// order: for non-NaN `a`, `b`, `a < b` implies `order_key(a) <
+/// order_key(b)`. Equal keys are equal bit patterns, and `-0.0` keys just
+/// below `+0.0` (IEEE 754 `totalOrder`), so sorting keys is a
+/// tie-free, branch-free stand-in for sorting by `partial_cmp` that
+/// differs from it only in where the signed zeros land. NaN gets a key
+/// too (beyond ±∞), so callers must screen it out first.
+pub fn order_key(x: f64) -> u64 {
+    const SIGN: u64 = 1 << 63;
+    let bits = x.to_bits();
+    if bits & SIGN != 0 {
+        !bits
     } else {
-        // The next order statistic is the least value above rank `lo`.
-        let v_hi = above.iter().copied().min_by(order).unwrap();
-        let frac = rank - lo as f64;
-        v_lo * (1.0 - frac) + v_hi * frac
+        bits | SIGN
     }
+}
+
+/// Inverse of [`order_key`]: the value (bit pattern) a key came from.
+pub fn from_order_key(key: u64) -> f64 {
+    const SIGN: u64 = 1 << 63;
+    f64::from_bits(if key & SIGN != 0 { key & !SIGN } else { !key })
 }
 
 /// Median (50th percentile).
@@ -281,6 +285,30 @@ mod tests {
         assert!((percentile(&x, 100.0) - 4.0).abs() < 1e-12);
         assert!((median(&x) - 2.5).abs() < 1e-12);
         assert!((percentile(&x, 90.0) - 3.7).abs() < 1e-12);
+    }
+
+    #[test]
+    fn order_keys_round_trip_and_follow_numeric_order() {
+        let ladder = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for pair in ladder.windows(2) {
+            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
+        }
+        for x in ladder {
+            assert_eq!(from_order_key(order_key(x)).to_bits(), x.to_bits());
+        }
     }
 
     #[test]

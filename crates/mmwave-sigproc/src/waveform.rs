@@ -257,12 +257,18 @@ impl OaqfmSymbol {
 /// Packs a byte slice into a sequence of OAQFM symbols, MSB-first.
 pub fn bytes_to_symbols(data: &[u8]) -> Vec<OaqfmSymbol> {
     let mut out = Vec::with_capacity(data.len() * 4);
+    bytes_to_symbols_into(data, &mut out);
+    out
+}
+
+/// [`bytes_to_symbols`] into a caller-owned buffer (cleared first).
+pub fn bytes_to_symbols_into(data: &[u8], out: &mut Vec<OaqfmSymbol>) {
+    out.clear();
     for &byte in data {
         for shift in [6u8, 4, 2, 0] {
             out.push(OaqfmSymbol::from_bits((byte >> shift) & 0b11));
         }
     }
-    out
 }
 
 /// Reassembles bytes from OAQFM symbols (inverse of [`bytes_to_symbols`]).
@@ -270,11 +276,23 @@ pub fn bytes_to_symbols(data: &[u8]) -> Vec<OaqfmSymbol> {
 /// # Panics
 /// Panics if the symbol count is not a multiple of four.
 pub fn symbols_to_bytes(symbols: &[OaqfmSymbol]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(symbols.len() / 4);
+    symbols_to_bytes_into(symbols, &mut out);
+    out
+}
+
+/// [`symbols_to_bytes`] into a caller-owned buffer (cleared first).
+///
+/// # Panics
+/// Panics if the symbol count is not a multiple of four.
+pub fn symbols_to_bytes_into(symbols: &[OaqfmSymbol], out: &mut Vec<u8>) {
     assert!(symbols.len().is_multiple_of(4), "need 4 symbols per byte");
-    symbols
-        .chunks_exact(4)
-        .map(|c| c.iter().fold(0u8, |acc, s| (acc << 2) | s.to_bits()))
-        .collect()
+    out.clear();
+    out.extend(
+        symbols
+            .chunks_exact(4)
+            .map(|c| c.iter().fold(0u8, |acc, s| (acc << 2) | s.to_bits())),
+    );
 }
 
 /// Generates a rectangular on-off keying envelope: `symbols[i]` holds the

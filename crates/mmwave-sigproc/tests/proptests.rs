@@ -45,6 +45,21 @@ fn channel_snr_oracle(symbol_stats: &[f64], tx_bits: &[bool]) -> f64 {
 /// Values that force ties, both signed zeros and a subnormal.
 const TIE_PALETTE: [f64; 6] = [-0.0, 0.0, 1.5, -2.25, 1e-310, 7.0];
 
+/// [`TIE_PALETTE`] with both infinities and the smallest subnormal; its
+/// first three entries are the signed zeros and `+∞`, so `i % 3` picks
+/// from those alone.
+const INF_TIE_PALETTE: [f64; 9] = [
+    -0.0,
+    0.0,
+    f64::INFINITY,
+    1.5,
+    -2.25,
+    1e-310,
+    7.0,
+    f64::NEG_INFINITY,
+    -5e-324,
+];
+
 proptest! {
     /// Complex field axioms hold numerically.
     #[test]
@@ -235,19 +250,52 @@ proptest! {
         }
     }
 
-    /// The order-statistic selection returns the sorting percentile's
-    /// value at any rank (equal under `==`: only a zero's sign may differ).
+    /// Sorting by order key and decoding gives the `partial_cmp` sort
+    /// back, equal under `==` (only where the signed zeros land may
+    /// differ), and keys round-trip every bit pattern.
     #[test]
-    fn percentile_select_matches_percentile(
+    fn order_keys_sort_like_partial_cmp(
         raw in proptest::collection::vec(-1e3f64..1e3, 1..301),
-        picks in proptest::collection::vec(0usize..TIE_PALETTE.len(), 300..301),
-        p in 0.0f64..100.0,
+        picks in proptest::collection::vec(0usize..INF_TIE_PALETTE.len(), 300..301),
     ) {
-        let ties: Vec<f64> = picks[..raw.len()].iter().map(|&i| TIE_PALETTE[i]).collect();
+        let ties: Vec<f64> = picks[..raw.len()].iter().map(|&i| INF_TIE_PALETTE[i]).collect();
         for x in [&raw, &ties] {
-            for q in [p, 0.0, 10.0, 50.0, 90.0, 100.0] {
-                let mut v = x.clone();
-                prop_assert_eq!(stats::percentile_select(&mut v, q), stats::percentile(x, q));
+            let mut want = x.clone();
+            want.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mut keys: Vec<u64> = x.iter().map(|&v| stats::order_key(v)).collect();
+            keys.sort_unstable();
+            let got: Vec<f64> = keys.iter().map(|&k| stats::from_order_key(k)).collect();
+            prop_assert_eq!(&got, &want);
+            for &v in x.iter() {
+                prop_assert_eq!(stats::from_order_key(stats::order_key(v)).to_bits(), v.to_bits());
+            }
+        }
+    }
+
+    /// The scratch-taking threshold equals the two-percentile formula by
+    /// `to_bits` at every length from one sample to 1024 — both sides of
+    /// the sorting-network cutoff — on continuous traces, traces of
+    /// duplicates, signed zeros and ±∞, and two-level traces; one key
+    /// buffer is reused across all of them.
+    #[test]
+    fn scratch_threshold_matches_percentile_formula(
+        len in 1usize..1025,
+        raw in proptest::collection::vec(-1e3f64..1e3, 1024..1025),
+        picks in proptest::collection::vec(0usize..INF_TIE_PALETTE.len(), 1024..1025),
+        levels in proptest::collection::vec(any::<bool>(), 1024..1025),
+    ) {
+        let mut keys = Vec::new();
+        for n in [len, len % 72 + 1] {
+            let traces = [
+                raw[..n].to_vec(),
+                picks[..n].iter().map(|&i| INF_TIE_PALETTE[i]).collect(),
+                picks[..n].iter().map(|&i| INF_TIE_PALETTE[i % 3]).collect::<Vec<f64>>(),
+                levels[..n].iter().zip(&raw).map(|(&b, &r)| if b { 1.0 } else { 0.2 } + r * 1e-5).collect(),
+            ];
+            for trace in &traces {
+                let want = threshold_oracle(trace).map(f64::to_bits);
+                prop_assert_eq!(mmwave_sigproc::detect::midpoint_threshold_with(trace, &mut keys).map(f64::to_bits), want);
+                prop_assert_eq!(midpoint_threshold(trace).map(f64::to_bits), want);
             }
         }
     }

@@ -12,6 +12,7 @@
 #      results/BENCH_experiments.json
 #   7. structural validation of both benchmark JSONs, gating on the
 #      batch_kernels section (batch_bit_exact == true, zero firmware allocs)
+#      and requiring the served_packet layer split
 #   8. one migrated figure binary end-to-end in reduced mode (shrunken
 #      grids, CSV anchors untouched)
 #   9. the net_scale extension in reduced mode + its full-scale CSV anchor
@@ -49,35 +50,53 @@
 #      (`--seconds 1 --trace 0`) with `"correct": true` and no failed check
 #      (the golden-digest pin among them), and neither perfbench/ (its
 #      Cargo.lock included) nor BENCHMARK.json is left modified
+#  18. results/ is left exactly as committed: steps 6, 11/12 and 16
+#      rewrite four committed artifacts whose fresh copies differ only in
+#      host fields (timings, core/thread counts) — BENCH_dsp.json,
+#      BENCH_experiments.json, METRICS_mac.json, METRICS_lifecycle.json.
+#      They are snapshotted up front, validated fresh as above, and
+#      restored at the end (also when a step fails); then
+#      `git diff --exit-code -- results/` fails on any drift in the
+#      regenerated CSV anchors. Run it on a tree whose results/ matches
+#      HEAD.
 #
 # Usage: scripts/ci.sh          (from anywhere; cd's to the repo root)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> [1/17] cargo fmt --check"
+echo "==> [1/18] cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> [2/17] cargo build --release --workspace --all-targets"
+echo "==> [2/18] cargo build --release --workspace --all-targets"
 cargo build --release --workspace --all-targets
 # The node core must stay portable to an MCU: firmware/mode/power compile
 # without std (the sim-facing modules are std-gated behind the default
 # feature).
 cargo build --release -p milback-node --no-default-features
 
-echo "==> [3/17] cargo test --release --workspace"
+echo "==> [3/18] cargo test --release --workspace"
 cargo test --release --workspace -q
 
-echo "==> [4/17] cargo clippy --release --workspace --all-targets -- -D warnings"
+echo "==> [4/18] cargo clippy --release --workspace --all-targets -- -D warnings"
 cargo clippy --release --workspace --all-targets -- -D warnings
 
-echo "==> [5/17] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
+echo "==> [5/18] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> [6/17] bench_smoke (writes results/BENCH_dsp.json + BENCH_experiments.json)"
+# Snapshot the committed host-field artifacts (step 18 restores them).
+HOST_ARTIFACTS="results/BENCH_dsp.json results/BENCH_experiments.json results/METRICS_mac.json results/METRICS_lifecycle.json"
+SNAPSHOT=$(mktemp -d)
+for f in $HOST_ARTIFACTS; do cp "$f" "$SNAPSHOT/"; done
+restore_host_artifacts() {
+    for f in $HOST_ARTIFACTS; do cp "$SNAPSHOT/$(basename "$f")" "$f"; done
+}
+trap restore_host_artifacts EXIT
+
+echo "==> [6/18] bench_smoke (writes results/BENCH_dsp.json + BENCH_experiments.json)"
 cargo run --release -p milback-bench --bin bench_smoke
 
-echo "==> [7/17] validating benchmark JSONs"
+echo "==> [7/18] validating benchmark JSONs"
 JSON=results/BENCH_dsp.json
 EXP_JSON=results/BENCH_experiments.json
 [ -s "$JSON" ] || { echo "FAIL: $JSON missing or empty" >&2; exit 1; }
@@ -103,7 +122,7 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "milback-bench-experiments-v1", doc.get("schema")
 for key in ("host", "experiments", "fsa_gain_eval", "batch_kernels",
-            "sharded_campaign", "acceptance"):
+            "sharded_campaign", "served_packet", "acceptance"):
     assert key in doc, f"missing top-level key: {key}"
 assert doc["experiments"], "experiments section is empty"
 for row in doc["experiments"]:
@@ -119,6 +138,14 @@ for key in ("fsa_points", "fsa_cold_memoized_ns_per_point", "fsa_batch_ns_per_po
     assert key in bk, f"missing batch_kernels key: {key}"
 assert bk["batch_bit_exact"] is True, "a batch kernel diverged from the scalar path"
 assert bk["firmware_allocs_per_packet"] == 0, "firmware hot loop must stay heap-free"
+sp = doc["served_packet"]
+for key in ("payload_bytes", "packet_ns", "noise_ns", "decision_ns", "snr_ns",
+            "sdm_margin_memo_ns", "sdm_margin_direct_ns", "allocs_per_packet"):
+    assert key in sp, f"missing served_packet key: {key}"
+for key in ("packet_ns", "noise_ns", "decision_ns", "snr_ns",
+            "sdm_margin_memo_ns", "sdm_margin_direct_ns"):
+    assert sp[key] is not None and sp[key] > 0, f"served_packet.{key} = {sp[key]}"
+assert sp["allocs_per_packet"] == 0, "a served packet must stay heap-free"
 sc = doc["sharded_campaign"]
 for key in ("nodes", "cells", "threads", "single_cell_nodes_per_sec",
             "sharded_nodes_per_sec", "shard_bit_exact", "bucket_footprint",
@@ -143,7 +170,8 @@ print(f"OK: {sys.argv[1]} is well-formed "
       f"runner best {acc['runner_best_speedup']:.2f}x on {acc['cores']} core(s), "
       f"fsa hoisted {acc['fsa_hoisted_speedup']:.2f}x, "
       f"cold-grid batch {acc['fsa_batch_speedup']:.2f}x, "
-      f"sharded {sc['sharded_nodes_per_sec']:.0f} nodes/s over {sc['cells']} cells)")
+      f"sharded {sc['sharded_nodes_per_sec']:.0f} nodes/s over {sc['cells']} cells, "
+      f"served packet {sp['packet_ns']:.0f} ns)")
 PY
 else
     # Minimal fallback: the files must at least carry the schema markers
@@ -158,17 +186,18 @@ else
     grep -q '"shard_bit_exact": true' "$EXP_JSON"
     grep -q '"bounded_memory": true' "$EXP_JSON"
     grep -q '"all_bit_exact": true' "$EXP_JSON"
+    grep -q '"served_packet"' "$EXP_JSON"
     echo "OK: benchmark JSONs carry schema markers (python3 unavailable, shallow check)"
 fi
 
-echo "==> [8/17] reduced-mode figure run (MILBACK_REDUCED=1 fig12a_ranging)"
+echo "==> [8/18] reduced-mode figure run (MILBACK_REDUCED=1 fig12a_ranging)"
 CSV=results/figure_12a.csv
 before=$(sha256sum "$CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin fig12a_ranging
 after=$(sha256sum "$CSV" 2>/dev/null || echo absent)
 [ "$before" = "$after" ] || { echo "FAIL: reduced mode overwrote $CSV" >&2; exit 1; }
 
-echo "==> [9/17] net_scale extension (reduced run + full-scale CSV anchor)"
+echo "==> [9/18] net_scale extension (reduced run + full-scale CSV anchor)"
 NET_CSV=results/extension_net_scale.csv
 before=$(sha256sum "$NET_CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin net_scale
@@ -183,7 +212,7 @@ esac
 rows=$(($(wc -l < "$NET_CSV") - 1))
 [ "$rows" -ge 7 ] || { echo "FAIL: $NET_CSV has $rows data rows, expected the 1..64 sweep (7)" >&2; exit 1; }
 
-echo "==> [10/17] mac_compare extension (reduced run + full-scale CSV anchor schema)"
+echo "==> [10/18] mac_compare extension (reduced run + full-scale CSV anchor schema)"
 MAC_CSV=results/extension_mac_compare.csv
 before=$(sha256sum "$MAC_CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin mac_compare
@@ -218,7 +247,7 @@ awk -F, 'NR==1 { next } { last=$0 } END {
     }
 }' "$MAC_CSV"
 
-echo "==> [11/17] instrumented campaign (MILBACK_TRACE) + telemetry artifact schemas"
+echo "==> [11/18] instrumented campaign (MILBACK_TRACE) + telemetry artifact schemas"
 TRACE_DIR=$(mktemp -d)
 METRICS=results/METRICS_mac.json
 rm -f "$METRICS"
@@ -292,7 +321,7 @@ else
 fi
 rm -rf "$TRACE_DIR"
 
-echo "==> [12/17] telemetry-off build (--no-default-features) passes the anchor gates"
+echo "==> [12/18] telemetry-off build (--no-default-features) passes the anchor gates"
 cargo test --release -p milback-core --no-default-features -q
 cargo test --release -p milback-bench --no-default-features -q
 cargo clippy --release -p milback-core -p milback-bench --no-default-features --all-targets -- -D warnings
@@ -311,7 +340,7 @@ cargo build --release -p milback-bench --all-targets
 ./target/release/mac_compare >/dev/null
 grep -q '"reduced": false' "$METRICS" || { echo "FAIL: regenerated $METRICS is not full-scale" >&2; exit 1; }
 
-echo "==> [13/17] net_scale_city sharded sweep (reduced run + full-scale CSV anchor)"
+echo "==> [13/18] net_scale_city sharded sweep (reduced run + full-scale CSV anchor)"
 CITY_CSV=results/extension_net_scale_city.csv
 before=$(sha256sum "$CITY_CSV" 2>/dev/null || echo absent)
 MILBACK_REDUCED=1 cargo run --release -p milback-bench --bin net_scale_city
@@ -345,7 +374,7 @@ awk -F, 'NR==1 { next } {
     }
 }' "$CITY_CSV"
 
-echo "==> [14/17] net_load offered-vs-served sweep (reduced run + full-scale CSV anchor)"
+echo "==> [14/18] net_load offered-vs-served sweep (reduced run + full-scale CSV anchor)"
 LOAD_CSV=results/extension_net_load.csv
 LOAD_WANT="overflow,nodes,offered,served,dropped,deferred,degraded,offered_per_s,served_per_s,delivered,delivery_rate"
 # Shared gate for the reduced CSV and the full-scale anchor: exact schema,
@@ -385,7 +414,7 @@ check_load_csv "$REDUCED_CSV"
 check_load_csv "$LOAD_CSV"
 rm -f "$LOAD_OUT" "$REDUCED_CSV"
 
-echo "==> [15/17] net_relay multi-hop recovery sweep (reduced run + full-scale CSV anchor)"
+echo "==> [15/18] net_relay multi-hop recovery sweep (reduced run + full-scale CSV anchor)"
 RELAY_CSV=results/extension_net_relay.csv
 RELAY_WANT="gap_fraction,max_hops,nodes,gap_nodes,attempts,delivered,delivery_rate,gap_attempts,gap_delivered,gap_delivery_rate,relayed,forwarded,mean_relay_hops,relay_energy_per_delivered_j,mean_relay_latency_s"
 # Shared gate for the reduced CSV and the full-scale anchor: exact schema,
@@ -430,7 +459,7 @@ check_relay_csv "$REDUCED_RELAY_CSV"
 check_relay_csv "$RELAY_CSV"
 rm -f "$RELAY_OUT" "$REDUCED_RELAY_CSV"
 
-echo "==> [16/17] net_audit packet-lifecycle sweep (conservation + percentile gates)"
+echo "==> [16/18] net_audit packet-lifecycle sweep (conservation + percentile gates)"
 AUDIT_CSV=results/extension_net_audit.csv
 LIFECYCLE=results/METRICS_lifecycle.json
 AUDIT_WANT="policy,relay,nodes,offered,delivered_direct,delivered_relayed,contention_collision,sdm_inseparable,service_shed,no_relay_route,hop_budget_exhausted,decode_failure,never_scheduled,slot_wait_p50_us,slot_wait_p95_us,slot_wait_p99_us,residence_p50_us,residence_p95_us,residence_p99_us,relay_extra_p50_us,relay_extra_p95_us,relay_extra_p99_us"
@@ -516,7 +545,7 @@ fi
 ./target/release/net_audit >/dev/null
 grep -q '"reduced": false' "$LIFECYCLE" || { echo "FAIL: regenerated $LIFECYCLE is not full-scale" >&2; exit 1; }
 
-echo "==> [17/17] benchmark harness self-test (perfbench), one golden-checked run per workload, benchmark files unchanged"
+echo "==> [17/18] benchmark harness self-test (perfbench), one golden-checked run per workload, benchmark files unchanged"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # One short full-scale run per workload: every run re-runs its golden
 # batch against the pinned digest (`golden_digest_pinned`), so a hot path
@@ -533,5 +562,9 @@ for workload in city_contended sector_sdm relay_shed localize; do
     echo "OK: perfbench $workload correct, golden digest pinned"
 done
 git diff --exit-code perfbench BENCHMARK.json
+
+echo "==> [18/18] results/ left as committed (host-field artifacts restored, CSV anchors unchanged)"
+restore_host_artifacts
+git diff --exit-code -- results/
 
 echo "==> ci.sh: all gates passed"
